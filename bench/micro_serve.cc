@@ -683,9 +683,9 @@ int Run(int argc, char** argv) {
       transport::PolicyClient client(client_config);
       std::vector<double> latencies;
       latencies.reserve(kFastN);
-      // Warm-up (connection + handshake + first batches). An shm lane
-      // vacated by the previous row's client takes a beat to recycle,
-      // so the first dial retries instead of failing the row.
+      // Warm-up (connection + first batches). An shm lane vacated by
+      // the previous row's client takes a beat to recycle, so the
+      // first dial retries instead of failing the row.
       for (int u = 0; u < kFastUsers; ++u) {
         serve::ServeReply reply;
         transport::TransportStatus status;

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Verifies that every binary a documentation code block tells the reader
-# to run corresponds to a real CMake target. Scans fenced code blocks in
+# Verifies that the documentation points at things that exist. Step 1-2:
+# every binary a documentation code block tells the reader to run
+# corresponds to a real CMake target. Scans fenced code blocks in
 # README.md and docs/*.md for invocations shaped like
 #   ./build/examples/<name>   build/tests/<name>   build-tsan/bench/<name>
 # and checks each <name> against the targets declared via
 # add_executable / s2r_add_test / s2r_add_bench / s2r_add_example.
+# Steps 3-6 check metric names, the protocol message-type table, the
+# architecture module map and backticked code names (see each step).
 #
 # Wired as the `check_docs` ctest (tests/CMakeLists.txt), so stale docs
 # fail CI the same way a broken test does.
@@ -138,4 +141,28 @@ if [ -e docs/ARCHITECTURE.md ]; then
     exit 1
   fi
 fi
-echo "check_docs: OK (binaries, metric names, message types and module map all check out)"
+# --- 6. Code names the docs cite must exist in source. -----------------
+# Backticked `ns::Name` (e.g. `serve::LoadCheckpointEx`,
+# `infer::InferencePlan::Freeze`) and `kName` (`kVersionUnsupported`)
+# spans in the README and docs/*.md point a reader at code. Every name
+# after the namespace must appear as a word somewhere under src/ —
+# otherwise the doc describes a type, function or status that was
+# renamed or deleted.
+for doc in "${docs[@]}"; do
+  [ -e "$doc" ] || continue
+  code_names=$(grep -oE '`[a-z_]+(::[A-Za-z_][A-Za-z0-9_]*)+|`k[A-Z][A-Za-z0-9_]*`' \
+      "$doc" | tr -d '`' | sort -u)
+  for code_name in $code_names; do
+    for word in $(echo "${code_name#*::}" | sed 's/::/ /g'); do
+      if ! grep -rqw -- "$word" src/; then
+        echo "check_docs: $doc cites '$code_name' but '$word' is not in src/" >&2
+        fail=1
+      fi
+    done
+  done
+done
+if [ "$fail" -ne 0 ]; then
+  echo "check_docs: FAILED — documented code names missing from source" >&2
+  exit 1
+fi
+echo "check_docs: OK (binaries, metric names, message types, module map and code names all check out)"

@@ -242,7 +242,8 @@ struct HistogramSample {
   /// falls back to conservative quantiles (max across parts).
   std::vector<int64_t> buckets;
   /// Best-effort retained samples, ordered by bucket (see LogHistogram).
-  /// Merges concatenate and re-sort; codec v2 carries them on the wire.
+  /// Merges concatenate and re-sort; the snapshot codec carries them on
+  /// the wire.
   std::vector<ExemplarSample> exemplars;
 };
 

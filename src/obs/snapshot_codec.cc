@@ -108,8 +108,8 @@ bool DecodeExemplarSection(
   return reader.remaining() == 0;
 }
 
-/// Decodes the version-1 body (everything after magic + version) into
-/// `decoded`, leaving the reader positioned at the first trailing byte.
+/// Decodes the base body (everything after magic + version, up to the
+/// sections) into `decoded`, leaving the reader at the first section.
 bool DecodeBaseBody(ByteReader* reader, MetricsSnapshot* decoded) {
   uint32_t count = 0;
 
@@ -172,9 +172,7 @@ std::string EncodeSnapshot(const MetricsSnapshot& snapshot) {
 
   std::string out;
   AppendU32(&out, kSnapshotMagic);
-  // Exemplar-free snapshots encode as byte-identical version 1, so
-  // pre-exemplar readers only ever see a version they fully understand.
-  AppendU16(&out, any_exemplars ? kSnapshotCodecVersion : uint16_t{1});
+  AppendU16(&out, kSnapshotCodecVersion);
 
   AppendU32(&out, static_cast<uint32_t>(snapshot.counters.size()));
   for (const CounterSample& counter : snapshot.counters) {
@@ -212,26 +210,15 @@ std::string EncodeSnapshot(const MetricsSnapshot& snapshot) {
 }
 
 SnapshotDecodeStatus DecodeSnapshotEx(const void* data, size_t size,
-                                      MetricsSnapshot* out,
-                                      uint16_t max_version) {
-  const uint16_t effective_max =
-      std::min(max_version, kSnapshotCodecVersion);
+                                      MetricsSnapshot* out) {
   ByteReader reader(data, size);
   uint32_t magic = 0;
   uint16_t version = 0;
   if (!reader.ReadU32(&magic) || magic != kSnapshotMagic) {
     return SnapshotDecodeStatus::kBadMagic;
   }
-  if (!reader.ReadU16(&version) || version < 1) {
-    return SnapshotDecodeStatus::kMalformed;
-  }
-  // Versions beyond what this build ships are refused with the typed
-  // verdict, never guessed at: the compat promise (v1 body + skippable
-  // sections) is only known to hold for versions this decoder has
-  // actually seen specified. Versions within [1, ours] always decode;
-  // `max_version` lets a caller simulate an older reader, which
-  // degrades gracefully (sections skipped, kOkIgnoredNewer).
-  if (version > kSnapshotCodecVersion) {
+  if (!reader.ReadU16(&version)) return SnapshotDecodeStatus::kMalformed;
+  if (version != kSnapshotCodecVersion) {
     return SnapshotDecodeStatus::kUnsupportedVersion;
   }
 
@@ -241,46 +228,34 @@ SnapshotDecodeStatus DecodeSnapshotEx(const void* data, size_t size,
     return SnapshotDecodeStatus::kMalformed;
   }
 
-  bool skipped_any = false;
-  if (version == 1) {
-    if (reader.remaining() != 0) return SnapshotDecodeStatus::kMalformed;
-  } else {
-    // v2+: zero or more (u16 id, u32 len, payload) trailing sections.
-    std::map<std::string, std::vector<ExemplarSample>> exemplars;
-    while (reader.remaining() != 0) {
-      uint16_t section_id = 0;
-      uint32_t section_len = 0;
-      if (!reader.ReadU16(&section_id) || !reader.ReadU32(&section_len) ||
-          section_len > reader.remaining()) {
-        return SnapshotDecodeStatus::kMalformed;
-      }
-      const uint8_t* section_data =
-          static_cast<const uint8_t*>(data) + (size - reader.remaining());
-      if (section_id == kExemplarSectionId && effective_max >= 2) {
-        if (!DecodeExemplarSection(section_data, section_len, &exemplars)) {
-          return SnapshotDecodeStatus::kMalformed;
-        }
-      } else {
-        skipped_any = true;  // unknown section (or caller opted down)
-      }
-      reader.Skip(section_len);
+  // Zero or more (u16 id, u32 len, payload) sections.
+  std::map<std::string, std::vector<ExemplarSample>> exemplars;
+  while (reader.remaining() != 0) {
+    uint16_t section_id = 0;
+    uint32_t section_len = 0;
+    if (!reader.ReadU16(&section_id) || !reader.ReadU32(&section_len) ||
+        section_len > reader.remaining() ||
+        section_id != kExemplarSectionId) {
+      return SnapshotDecodeStatus::kMalformed;
     }
-    for (HistogramSample& hist : decoded.histograms) {
-      auto it = exemplars.find(hist.name);
-      if (it != exemplars.end()) hist.exemplars = std::move(it->second);
+    const uint8_t* section_data =
+        static_cast<const uint8_t*>(data) + (size - reader.remaining());
+    if (!DecodeExemplarSection(section_data, section_len, &exemplars)) {
+      return SnapshotDecodeStatus::kMalformed;
     }
+    reader.Skip(section_len);
+  }
+  for (HistogramSample& hist : decoded.histograms) {
+    auto it = exemplars.find(hist.name);
+    if (it != exemplars.end()) hist.exemplars = std::move(it->second);
   }
 
   *out = std::move(decoded);
-  return (skipped_any || version > effective_max)
-             ? SnapshotDecodeStatus::kOkIgnoredNewer
-             : SnapshotDecodeStatus::kOk;
+  return SnapshotDecodeStatus::kOk;
 }
 
 bool DecodeSnapshot(const void* data, size_t size, MetricsSnapshot* out) {
-  const SnapshotDecodeStatus status = DecodeSnapshotEx(data, size, out);
-  return status == SnapshotDecodeStatus::kOk ||
-         status == SnapshotDecodeStatus::kOkIgnoredNewer;
+  return DecodeSnapshotEx(data, size, out) == SnapshotDecodeStatus::kOk;
 }
 
 }  // namespace obs

@@ -18,17 +18,16 @@ namespace obs {
 ///
 /// Format (all integers little-endian; see docs/PROTOCOL.md for the
 /// byte-level reference):
-///   u32 magic "S2MX", u16 codec version (currently 2)
+///   u32 magic "S2MX", u16 codec version (always 2)
 ///   u32 counter count,   each: u16 name length, name bytes, i64 value
 ///   u32 gauge count,     each: name, f64 value
 ///   u32 histogram count, each: name, i64 count,
 ///                        f64 mean/min/max/p50/p95/p99,
 ///                        u32 bucket count, i64 buckets[]
-/// Version 2 appends zero or more self-describing trailing sections
-/// after the v1 body, each framed as
+///   then zero or more sections, each framed as
 ///   u16 section id, u32 payload length, payload bytes
-/// so a reader that does not understand a section skips it by length.
-/// Section 1 carries histogram exemplars:
+/// Section 1 carries histogram exemplars and is written only when some
+/// histogram has them:
 ///   u32 histogram entries, each: u16 name length, name bytes,
 ///   u32 exemplar count, each: u8 bucket, f64 value, u64 trace id,
 ///   u8 tag count, each tag: u16 name length, name bytes, f64 value
@@ -36,53 +35,37 @@ namespace obs {
 /// bit-identical to the encoded one — merged quantiles answer the same
 /// whether the parts arrived over the wire or not.
 ///
-/// Compatibility policy (mirrors the checkpoint manifest and the wire
-/// protocol): the codec evolves additively — a version bump adds
-/// trailing sections, never reshapes the v1 body. A reader accepts
-/// versions up to its own: within that range, sections it does not
-/// parse (unknown id, or the caller capped `max_version` below the
-/// payload's needs) are skipped by length and the result is
-/// kOkIgnoredNewer — usable, just partial. Versions beyond the
-/// reader's own get the typed kUnsupportedVersion verdict, never a
-/// guess. A change that would break the base body gets a new magic,
-/// not a new version. An exemplar-free snapshot encodes as
-/// byte-identical v1, so v1-only consumers never even see a version
-/// they don't know.
+/// Versioning: the codec has one layout. A decoder refuses every other
+/// version with kUnsupportedVersion and every section id but 1 as
+/// kMalformed — it never guesses. Snapshots only travel inside
+/// kMetricsReply frames and are never persisted, so nothing older ever
+/// needs reading.
 std::string EncodeSnapshot(const MetricsSnapshot& snapshot);
 
-/// Typed decode outcome (ordered roughly by how happy you should be).
+/// Typed decode outcome.
 enum class SnapshotDecodeStatus {
-  /// Fully decoded, nothing skipped.
+  /// Fully decoded.
   kOk = 0,
-  /// Base body decoded; newer-version trailing sections (or unknown
-  /// section ids) were skipped. The snapshot is usable but partial —
-  /// e.g. a v1 reader sees a v2 payload's metrics without exemplars.
-  kOkIgnoredNewer,
   /// First four bytes are not "S2MX": not a snapshot at all.
   kBadMagic,
-  /// The payload declares a version newer than this build understands;
-  /// nothing is decoded and `out` is untouched. The additive-evolution
-  /// contract is only known to hold for versions this decoder has seen
-  /// specified, so it refuses rather than guesses.
+  /// The payload declares a version other than this codec's; nothing
+  /// is decoded and `out` is untouched.
   kUnsupportedVersion,
-  /// Truncation, trailing garbage, implausible counts, version 0.
+  /// Truncation, trailing garbage, implausible counts, unknown section.
   kMalformed,
 };
 
-/// Current codec version (what EncodeSnapshot emits for snapshots that
-/// need v2 features; exemplar-free snapshots encode as v1).
+/// The codec version EncodeSnapshot writes (reported by
+/// obs.build_info).
 uint16_t SnapshotCodecVersion();
 
-/// Staged decode with a typed verdict: `out` is written only for the
-/// two kOk* statuses and left untouched on every failure. Never aborts
-/// — the input is network data. `max_version` caps what the caller
-/// accepts (defaults to the newest this build knows; tests pass lower
-/// values to exercise the downgrade path).
+/// Staged decode with a typed verdict: `out` is written only on kOk
+/// and left untouched on every failure. Never aborts — the input is
+/// network data.
 SnapshotDecodeStatus DecodeSnapshotEx(const void* data, size_t size,
-                                      MetricsSnapshot* out,
-                                      uint16_t max_version = 0xFFFF);
+                                      MetricsSnapshot* out);
 
-/// Convenience wrapper: true on kOk / kOkIgnoredNewer.
+/// Convenience wrapper: true on kOk.
 bool DecodeSnapshot(const void* data, size_t size, MetricsSnapshot* out);
 
 inline bool DecodeSnapshot(const std::string& data, MetricsSnapshot* out) {
@@ -90,9 +73,8 @@ inline bool DecodeSnapshot(const std::string& data, MetricsSnapshot* out) {
 }
 
 inline SnapshotDecodeStatus DecodeSnapshotEx(const std::string& data,
-                                             MetricsSnapshot* out,
-                                             uint16_t max_version = 0xFFFF) {
-  return DecodeSnapshotEx(data.data(), data.size(), out, max_version);
+                                             MetricsSnapshot* out) {
+  return DecodeSnapshotEx(data.data(), data.size(), out);
 }
 
 }  // namespace obs

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "nn/serialize.h"
-#include "serve/manifest_migration.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 
@@ -17,10 +16,8 @@ namespace sim2rec {
 namespace serve {
 namespace {
 
-// v2 = v1 + required crc32.<file> integrity lines; v3 renames
-// lstm_hidden -> extractor_hidden and retypes the 0/1 flags to
-// false/true (legacy bundles load through MigrateManifest). See the
-// compatibility policy on SaveCheckpoint in the header.
+// The only manifest version this binary reads or writes; see the
+// versioning note on SaveCheckpoint in the header.
 constexpr int kManifestVersion = 3;
 constexpr uint32_t kNormMagic = 0x53324e31;  // "S2N1"
 
@@ -84,9 +81,8 @@ bool GetInt(const Manifest& m, const std::string& key, int* out) {
   return true;
 }
 
-/// v3 boolean keys are spelled exactly `false`/`true` — 0/1 in a v3+
-/// manifest is a corruption signal, not an alternative encoding (the
-/// migration shim is the only place legacy spellings are accepted).
+/// Boolean keys are spelled exactly `false`/`true` — 0/1 is a
+/// corruption signal, not an alternative encoding.
 bool GetBool(const Manifest& m, const std::string& key, bool* out) {
   auto it = m.find(key);
   if (it == m.end() || it->second.size() != 1) return false;
@@ -262,8 +258,6 @@ bool SaveCheckpoint(const std::string& dir, core::ContextAgent& agent,
               ? "lstm"
               : "gru")
       << '\n';
-  // v3 spelling; v1/v2 wrote this as `lstm_hidden` (see kRenames in
-  // serve/manifest_migration.cc).
   out << "extractor_hidden " << config.lstm_hidden << '\n';
   WriteInts(out, "f_hidden", config.f_hidden);
   out << "f_out " << config.f_out << '\n';
@@ -293,14 +287,14 @@ bool SaveCheckpoint(const std::string& dir, core::ContextAgent& agent,
                                      << '\n';
   out << "seed " << metadata.seed << '\n';
   out << "train_iterations " << metadata.train_iterations << '\n';
-  // Additive (hot-swap ordering): only written when the bundle is part
-  // of a generation sequence, so pre-watcher bundles stay byte-for-byte
+  // Optional (hot-swap ordering): only written when the bundle is part
+  // of a generation sequence, so other bundles stay byte-for-byte
   // reproducible.
   if (metadata.generation != 0) {
     out << "generation " << metadata.generation << '\n';
   }
 
-  // v2 integrity lines: crc32.<file> <decimal crc> per binary file.
+  // Integrity lines: crc32.<file> <decimal crc> per binary file.
   const auto write_crc = [&](const std::string& path,
                              const char* name) -> bool {
     uint32_t crc = 0;
@@ -334,31 +328,21 @@ LoadResult LoadCheckpointEx(const std::string& dir) {
   Manifest manifest;
   if (!ParseManifest(ManifestPath(dir), &manifest)) return result;
   int version = 0;
-  if (!GetInt(manifest, "sim2rec_checkpoint", &version) || version < 1) {
-    return result;
-  }
-  if (version > kManifestVersion) {
-    // Newer than this binary understands; likely intact, so say so
-    // rather than lumping it in with corruption.
+  if (!GetInt(manifest, "sim2rec_checkpoint", &version)) return result;
+  if (version != kManifestVersion) {
+    // Not this binary's format; likely intact, so say so rather than
+    // lumping it in with corruption.
     result.status = LoadStatus::kVersionUnsupported;
     return result;
   }
 
-  // Carry legacy manifests forward into the current key schema before
-  // any key is read. A table miss is fine (the key checks below report
-  // it); an unconvertible value is kCorrupt.
-  ManifestMigration migration;
-  if (!MigrateManifest(version, &manifest, &migration)) return result;
-
-  // v2+: verify each binary file's CRC before parsing any of it. v1
-  // bundles predate the lines, so the checks are skipped.
+  // Verify each binary file's CRC before parsing any of it.
   const auto crc_ok = [&](const std::string& path,
                           const char* name) -> bool {
-    if (version < 2) return true;
     uint64_t expected = 0;
     if (!GetU64(manifest, std::string("crc32.") + name, &expected) ||
         expected > 0xFFFFFFFFull) {
-      return false;  // a v2 manifest must carry the line
+      return false;  // the line is mandatory
     }
     uint32_t actual = 0;
     if (!Crc32OfFile(path, &actual)) return false;
@@ -450,15 +434,7 @@ LoadResult LoadCheckpointEx(const std::string& dir) {
     // Deployment never updates running statistics.
     loaded->agent->normalizer()->Freeze();
   }
-  if (migration.applied > 0) {
-    for (const std::string& note : migration.notes) {
-      S2R_LOG_INFO("LoadCheckpointEx: migrated v%d manifest: %s", version,
-                   note.c_str());
-    }
-    result.status = LoadStatus::kMigrated;
-  } else {
-    result.status = LoadStatus::kOk;
-  }
+  result.status = LoadStatus::kOk;
   result.policy = std::move(loaded);
   return result;
 }
@@ -467,9 +443,7 @@ bool ReadCheckpointInfo(const std::string& dir, CheckpointInfo* info) {
   Manifest manifest;
   if (!ParseManifest(ManifestPath(dir), &manifest)) return false;
   int version = 0;
-  if (!GetInt(manifest, "sim2rec_checkpoint", &version) || version < 1) {
-    return false;
-  }
+  if (!GetInt(manifest, "sim2rec_checkpoint", &version)) return false;
   info->version = version;
   info->generation = 0;
   GetU64(manifest, "generation", &info->generation);

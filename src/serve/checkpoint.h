@@ -12,8 +12,7 @@ namespace sim2rec {
 namespace serve {
 
 /// Informational fields stored alongside the inference bundle (never
-/// required for loading; unknown manifest keys are ignored so old
-/// binaries can read newer checkpoints).
+/// required for loading; unknown manifest keys are ignored).
 struct CheckpointMetadata {
   std::string variant;       // e.g. "Sim2Rec", "DR-OSI"
   uint64_t seed = 0;         // training seed
@@ -22,8 +21,8 @@ struct CheckpointMetadata {
   /// on every export; serve::CheckpointWatcher hot-swaps to the highest
   /// generation it can validate and never to a lower one. 0 means "not
   /// part of a generation sequence" — such bundles load fine but are
-  /// never hot-swap candidates. The key is additive (old readers ignore
-  /// it), so it rides on any manifest version.
+  /// never hot-swap candidates. The key is optional: it is written only
+  /// when non-zero.
   uint64_t generation = 0;
 };
 
@@ -45,34 +44,21 @@ enum class LoadStatus {
   kOk = 0,
   /// No manifest at `dir` (not a checkpoint directory).
   kNotFound,
-  /// The manifest declares a format version newer than this binary
-  /// understands. The bundle may be perfectly valid.
+  /// The manifest declares a format version that is not this binary's
+  /// version. The bundle may be perfectly valid.
   kVersionUnsupported,
   /// Anything else: unparsable manifest, implausible config, CRC
-  /// mismatch, missing/truncated/corrupted weight files. A v2+
-  /// manifest missing the `crc32.<file>` line for any weight file it
-  /// lists is kCorrupt too — v2 declared those lines mandatory, so
-  /// their absence means the manifest was tampered with or truncated,
-  /// not that the integrity check is optional (pinned in
-  /// tests/serve_test.cc).
+  /// mismatch, missing/truncated/corrupted weight files. A manifest
+  /// missing the `crc32.<file>` line for any weight file it lists is
+  /// kCorrupt too — the lines are mandatory, so their absence means the
+  /// manifest was tampered with or truncated, not that the integrity
+  /// check is optional (pinned in tests/serve_test.cc).
   kCorrupt,
-  /// The load SUCCEEDED, but only after serve::MigrateManifest rewrote
-  /// legacy keys into the current schema (renamed/retyped between
-  /// manifest versions — see serve/manifest_migration.h). The policy is
-  /// fully usable; the distinct status lets operators see that a bundle
-  /// predates the current config layout and should eventually be
-  /// re-exported.
-  kMigrated,
 };
-
-/// kOk and kMigrated both carry a usable policy.
-inline bool LoadSucceeded(LoadStatus status) {
-  return status == LoadStatus::kOk || status == LoadStatus::kMigrated;
-}
 
 struct LoadResult {
   LoadStatus status = LoadStatus::kCorrupt;
-  /// Non-null exactly when LoadSucceeded(status).
+  /// Non-null exactly when status == kOk.
   std::unique_ptr<LoadedPolicy> policy;
 };
 
@@ -100,25 +86,13 @@ bool ReadCheckpointInfo(const std::string& dir, CheckpointInfo* info);
 ///                   M2), only when normalization is enabled
 /// Returns false on any I/O failure.
 ///
-/// Compatibility policy (manifest line `sim2rec_checkpoint <version>`):
-///  * The version is bumped ONLY when a correct load requires
-///    understanding something new. Purely additive information rides on
-///    new keys instead — readers ignore unknown keys, so old binaries
-///    keep loading newer same-version bundles.
-///  * Readers accept every version up to their own: v1 (no CRC lines,
-///    the PR-2 format) still loads, with integrity checks skipped.
-///  * A version beyond the reader's is reported as kVersionUnsupported,
-///    never misread as corruption.
-///  * Keys renamed or retyped by a version bump are carried forward by
-///    the serve::MigrateManifest rename table, so older bundles keep
-///    loading (status kMigrated instead of kOk).
-/// History: v1 initial format; v2 adds required `crc32.<file>` lines
-/// for each binary bundle file (a v2 bundle whose CRC lines are missing
-/// or mismatched is kCorrupt); v3 renames `lstm_hidden` ->
-/// `extractor_hidden` and retypes `use_extractor` /
-/// `normalize_observations` / `has_sadae` from 0/1 to false/true
-/// (v1/v2 bundles load via the migration shim as kMigrated). The
-/// additive `generation` key (hot-swap ordering) rides on any version.
+/// Versioning (manifest line `sim2rec_checkpoint 3`): this binary reads
+/// exactly the version it writes. Any other version loads as
+/// kVersionUnsupported — never misread as corruption, never migrated.
+/// Purely additive information rides on new keys instead of a version
+/// bump: readers ignore unknown keys (the optional `generation` key is
+/// the worked example). docs/ARCHITECTURE.md §3 lists how older
+/// versions differed.
 bool SaveCheckpoint(const std::string& dir, core::ContextAgent& agent,
                     const CheckpointMetadata& metadata = {});
 

@@ -109,7 +109,7 @@ SwapResult CheckpointWatcher::PollOnce() {
                  static_cast<double>(candidate.generation));
 
   LoadResult loaded = LoadCheckpointEx(candidate.dir);
-  if (!LoadSucceeded(loaded.status)) {
+  if (loaded.status != LoadStatus::kOk) {
     result.outcome = SwapOutcome::kLoadFailed;
     result.load_status = loaded.status;
     RejectLocked(candidate, loaded.status == LoadStatus::kVersionUnsupported
@@ -142,11 +142,9 @@ SwapResult CheckpointWatcher::PollOnce() {
     metric_generation_->SetMax(static_cast<double>(generation_));
     metric_swaps_->Add(1);
   }
-  S2R_LOG_INFO("checkpoint_watcher: now serving generation %llu from '%s'%s",
+  S2R_LOG_INFO("checkpoint_watcher: now serving generation %llu from '%s'",
                static_cast<unsigned long long>(generation_),
-               candidate.dir.c_str(),
-               loaded.status == LoadStatus::kMigrated ? " (migrated manifest)"
-                                                      : "");
+               candidate.dir.c_str());
   result.outcome = SwapOutcome::kSwapped;
   return result;
 }

@@ -40,7 +40,7 @@ PolicyClient::PolicyClient(const PolicyClientConfig& config)
                 "PolicyClient needs a port or an endpoint URI");
   S2R_CHECK(config.limits.connect_timeout_ms > 0);
   S2R_CHECK(config.limits.request_timeout_ms > 0);
-  S2R_CHECK(config.limits.max_frame_bytes > kMaxFrameHeaderBytes);
+  S2R_CHECK(config.limits.max_frame_bytes > kFrameHeaderBytes);
   S2R_CHECK(config.max_retries >= 0);
   S2R_CHECK(config.retry_backoff_initial_ms >= 1);
   S2R_CHECK(config.retry_backoff_max_ms >= config.retry_backoff_initial_ms);
@@ -82,77 +82,6 @@ TransportStatus PolicyClient::ConnectLocked() {
   if (channel == nullptr) {
     S2R_COUNT("transport.client.connect_failures", 1);
     return TransportStatus::kConnectFailed;
-  }
-
-  // Version handshake: a v2 ping — the newest frame every deployed
-  // server generation decodes — asking the server to advertise its
-  // protocol version. Runs synchronously on the bare channel; the
-  // receiver thread only starts once the connection's version is
-  // settled.
-  const uint64_t nonce = ping_nonce_.fetch_add(1, std::memory_order_relaxed);
-  const std::string frame =
-      EncodeFrame(MessageType::kPingRequest, EncodeU64(nonce),
-                  /*version=*/2);
-  // An IO failure here is a *connection-establishment* failure: no
-  // user request is in flight yet, so report the retryable
-  // kConnectFailed rather than kClosed/kTimeout — callers' dial-retry
-  // loops then recover (e.g. a peer that accepted the connection but
-  // died before answering the handshake).
-  IoStatus io = channel->WriteFull(frame.data(), frame.size(),
-                                   config_.limits.request_timeout_ms);
-  if (io != IoStatus::kOk) {
-    S2R_COUNT("transport.client.connect_failures", 1);
-    return TransportStatus::kConnectFailed;
-  }
-  uint8_t header_bytes[kFrameHeaderBytes];
-  io = channel->ReadFull(header_bytes, kFrameHeaderBytes,
-                         config_.limits.request_timeout_ms);
-  if (io != IoStatus::kOk) {
-    S2R_COUNT("transport.client.connect_failures", 1);
-    return TransportStatus::kConnectFailed;
-  }
-  FrameHeader header;
-  if (DecodeHeader(header_bytes, config_.limits.max_frame_bytes,
-                   &header) != HeaderStatus::kOk ||
-      header.version > 2) {
-    return TransportStatus::kMalformedReply;
-  }
-  std::string payload(header.payload_len, '\0');
-  if (header.payload_len > 0) {
-    io = channel->ReadFull(payload.data(), payload.size(),
-                           config_.limits.request_timeout_ms);
-    if (io != IoStatus::kOk) {
-      S2R_COUNT("transport.client.connect_failures", 1);
-      return TransportStatus::kConnectFailed;
-    }
-  }
-  if (!FrameCrcMatches(header_bytes, kFrameHeaderBytes, payload) ||
-      header.type != MessageType::kPingReply) {
-    return TransportStatus::kMalformedReply;
-  }
-  uint64_t echoed = 0;
-  uint8_t server_version = 0;
-  if (!DecodePingReply(payload, &echoed, &server_version)) {
-    // A v1-era reply carries the nonce alone; treat it as version 1.
-    if (!DecodeU64(payload, &echoed)) {
-      return TransportStatus::kMalformedReply;
-    }
-    server_version = 1;
-  }
-  if (echoed != nonce) return TransportStatus::kMalformedReply;
-
-  const uint8_t negotiated =
-      std::min<uint8_t>(kProtocolVersion, server_version);
-  server_version_.store(server_version, std::memory_order_relaxed);
-  negotiated_version_.store(negotiated, std::memory_order_relaxed);
-  if (server_version != kProtocolVersion && !version_mismatch_logged_) {
-    version_mismatch_logged_ = true;
-    S2R_LOG_WARN(
-        "transport: server at %s speaks protocol v%d, client v%d; "
-        "negotiated v%d%s",
-        EndpointString().c_str(), static_cast<int>(server_version),
-        static_cast<int>(kProtocolVersion), static_cast<int>(negotiated),
-        negotiated < 3 ? " (pipelining degraded to serial matching)" : "");
   }
 
   ++generation_;
@@ -197,7 +126,6 @@ uint64_t PolicyClient::Submit(MessageType type, const std::string& payload,
       deadline_ms > 0 ? deadline_ms : config_.limits.request_timeout_ms;
 
   std::shared_ptr<ByteChannel> channel;
-  uint8_t version = 0;
   {
     std::lock_guard<std::mutex> lock(conn_mutex_);
     TransportStatus status = TransportStatus::kOk;
@@ -215,7 +143,6 @@ uint64_t PolicyClient::Submit(MessageType type, const std::string& payload,
       return id;
     }
     channel = channel_;
-    version = negotiated_version_.load(std::memory_order_relaxed);
   }
 
   requests_.fetch_add(1, std::memory_order_relaxed);
@@ -235,8 +162,7 @@ uint64_t PolicyClient::Submit(MessageType type, const std::string& payload,
     pending.deadline = DeadlineFrom(timeout_ms);
   }
 
-  const std::string frame =
-      EncodeFrame(type, payload, version, /*flags=*/0, id);
+  const std::string frame = EncodeFrame(type, payload, /*flags=*/0, id);
   IoStatus io;
   {
     // Writes serialize on their own mutex — never on mu_, which the
@@ -265,26 +191,10 @@ TransportStatus PolicyClient::AwaitPayload(uint64_t id,
         !it->second.done) {
       timeouts_.fetch_add(1, std::memory_order_relaxed);
       S2R_COUNT("transport.client.timeouts", 1);
-      const bool serial = negotiated_version_.load(
-                              std::memory_order_relaxed) < 3;
+      // Abandon just this request; its late reply (if any) is
+      // recognized by id and dropped, the connection lives on.
       pending_.erase(it);
-      if (!serial) {
-        // v3: abandon just this request; its late reply (if any) is
-        // recognized by id and dropped, the connection lives on.
-        abandoned_.insert(id);
-        return TransportStatus::kTimeout;
-      }
-      // Pre-v3 replies match by order alone: once one request is
-      // abandoned the stream can never be re-synchronized. Poison it.
-      lock.unlock();
-      S2R_COUNT("transport.client.failures", 1);
-      std::shared_ptr<ByteChannel> channel;
-      {
-        std::lock_guard<std::mutex> conn_lock(conn_mutex_);
-        channel = channel_;
-      }
-      if (channel != nullptr) channel->ShutdownBoth();
-      Poison(0, TransportStatus::kClosed);
+      abandoned_.insert(id);
       return TransportStatus::kTimeout;
     }
   }
@@ -310,7 +220,7 @@ TransportStatus PolicyClient::AwaitPayload(uint64_t id,
 void PolicyClient::ReceiverLoop(std::shared_ptr<ByteChannel> channel,
                                 int generation) {
   (void)generation;  // diagnostics only; the channel copy is the identity
-  uint8_t header_bytes[kMaxFrameHeaderBytes];
+  uint8_t header_bytes[kFrameHeaderBytes];
 
   // Any exit fails every in-flight request: replies can no longer
   // arrive once the receiver is gone.
@@ -340,7 +250,7 @@ void PolicyClient::ReceiverLoop(std::shared_ptr<ByteChannel> channel,
       return;
     }
 
-    IoStatus io = channel->ReadFull(header_bytes, kFrameHeaderBytes,
+    IoStatus io = channel->ReadFull(header_bytes, kFramePrefixBytes,
                                     config_.limits.request_timeout_ms);
     if (io != IoStatus::kOk) {
       fail_all(TransportStatus::kClosed);
@@ -353,22 +263,19 @@ void PolicyClient::ReceiverLoop(std::shared_ptr<ByteChannel> channel,
       fail_all(TransportStatus::kFrameTooLarge);
       return;
     }
-    if (decoded != HeaderStatus::kOk ||
-        header.version > kProtocolVersion) {
+    if (decoded != HeaderStatus::kOk) {
+      // Bad magic, or a frame of another version whose length is
+      // unknown: the stream cannot be followed any further.
       fail_all(TransportStatus::kMalformedReply);
       return;
     }
-    const size_t header_len = FrameHeaderBytesFor(header.version);
-    if (header_len > kFrameHeaderBytes) {
-      io = channel->ReadFull(header_bytes + kFrameHeaderBytes,
-                             header_len - kFrameHeaderBytes,
-                             config_.limits.request_timeout_ms);
-      if (io != IoStatus::kOk) {
-        fail_all(TransportStatus::kClosed);
-        return;
-      }
-      DecodeRequestId(header_bytes + kFrameHeaderBytes, &header);
+    io = channel->ReadFull(header_bytes + kFramePrefixBytes, kRequestIdBytes,
+                           config_.limits.request_timeout_ms);
+    if (io != IoStatus::kOk) {
+      fail_all(TransportStatus::kClosed);
+      return;
     }
+    DecodeRequestId(header_bytes + kFramePrefixBytes, &header);
     std::string payload(header.payload_len, '\0');
     if (header.payload_len > 0) {
       io = channel->ReadFull(payload.data(), payload.size(),
@@ -378,7 +285,7 @@ void PolicyClient::ReceiverLoop(std::shared_ptr<ByteChannel> channel,
         return;
       }
     }
-    if (!FrameCrcMatches(header_bytes, header_len, payload)) {
+    if (!FrameCrcMatches(header_bytes, payload)) {
       // Corrupt bytes mid-pipeline: nothing downstream of this point
       // on the stream can be trusted, so every in-flight request
       // fails, not just the one this frame answered.
@@ -387,35 +294,21 @@ void PolicyClient::ReceiverLoop(std::shared_ptr<ByteChannel> channel,
     }
 
     std::unique_lock<std::mutex> lock(mu_);
-    std::map<uint64_t, Pending>::iterator it;
-    if (header.version >= 3) {
-      it = pending_.find(header.request_id);
-      if (it == pending_.end()) {
-        if (abandoned_.erase(header.request_id) > 0) {
-          continue;  // late reply to a timed-out request; drop it
-        }
-        // A reply to an id we never sent (or sent and already
-        // answered): protocol violation — reply routing can no longer
-        // be trusted.
-        lock.unlock();
-        fail_all(TransportStatus::kClosed);
-        return;
+    auto it = pending_.find(header.request_id);
+    if (it == pending_.end()) {
+      if (abandoned_.erase(header.request_id) > 0) {
+        continue;  // late reply to a timed-out request; drop it
       }
-      if (it->second.done) {
-        lock.unlock();
-        fail_all(TransportStatus::kClosed);  // duplicate reply id
-        return;
-      }
-    } else {
-      // Pre-v3 frames carry no id: the reply answers the oldest
-      // still-unanswered request (the server is strictly FIFO).
-      it = pending_.begin();
-      while (it != pending_.end() && it->second.done) ++it;
-      if (it == pending_.end()) {
-        lock.unlock();
-        fail_all(TransportStatus::kClosed);  // unsolicited reply
-        return;
-      }
+      // A reply to an id we never sent (or sent and already answered):
+      // protocol violation — reply routing can no longer be trusted.
+      lock.unlock();
+      fail_all(TransportStatus::kClosed);
+      return;
+    }
+    if (it->second.done) {
+      lock.unlock();
+      fail_all(TransportStatus::kClosed);  // duplicate reply id
+      return;
     }
 
     Pending& pending = it->second;
@@ -584,10 +477,6 @@ PolicyClientStats PolicyClient::stats() const {
   stats.retries = retries_.load(std::memory_order_relaxed);
   stats.remote_errors = remote_errors_.load(std::memory_order_relaxed);
   stats.timeouts = timeouts_.load(std::memory_order_relaxed);
-  stats.server_version =
-      static_cast<int>(server_version_.load(std::memory_order_relaxed));
-  stats.negotiated_version = static_cast<int>(
-      negotiated_version_.load(std::memory_order_relaxed));
   return stats;
 }
 

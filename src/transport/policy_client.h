@@ -56,12 +56,6 @@ struct PolicyClientStats {
   int64_t retries = 0;
   int64_t remote_errors = 0;  // kError frames received
   int64_t timeouts = 0;       // per-request deadlines missed
-  /// Protocol version the server advertised in its ping reply during
-  /// the connect handshake (0 before the first successful connect),
-  /// and the version this client actually speaks on the connection:
-  /// min(kProtocolVersion, server_version).
-  int server_version = 0;
-  int negotiated_version = 0;
 };
 
 /// Client side of the serving transport. Implements
@@ -82,25 +76,22 @@ struct PolicyClientStats {
 ///  * SubmitAct / Await / AwaitAll — the pipelined tier. SubmitAct
 ///    writes the request and returns immediately with a handle;
 ///    several submissions ride the ONE connection concurrently
-///    (protocol v3 tags every frame with a request id, so replies may
-///    return in any order), which is what lets a single client fill
-///    the server's micro-batcher. Await blocks until that handle's
-///    reply arrives or its deadline passes and yields a typed
-///    TransportStatus per handle.
-///
-/// Version negotiation: on connect the client pings (a v2 frame every
-/// server understands) and reads the server's advertised version from
-/// the reply; it then speaks min(its own, the server's). Against a
-/// pre-v3 server there are no request ids on the wire, so replies
-/// match submissions in FIFO order — SubmitAct still pipelines writes,
-/// but a deadline miss must poison the connection (the stream can no
-/// longer be re-synchronized), whereas on v3 a timed-out request is
-/// simply abandoned and its late reply dropped. A version mismatch is
-/// logged once per client.
+///    (every frame carries a request id, so replies may return in any
+///    order), which is what lets a single client fill the server's
+///    micro-batcher. Await blocks until that handle's reply arrives or
+///    its deadline passes and yields a typed TransportStatus per
+///    handle.
 ///
 /// Deadlines: every request gets config.limits.request_timeout_ms by
 /// default; SubmitAct takes an optional per-request override. The
-/// deadline clock starts at submission and is enforced by Await.
+/// deadline clock starts at submission and is enforced by Await. A
+/// timed-out request is abandoned: its late reply is recognized by id
+/// and dropped, and the connection lives on.
+///
+/// Version: the client speaks kProtocolVersion only. A reply frame of
+/// any other version fails every in-flight request with
+/// kMalformedReply (its header length is unknown, so the stream cannot
+/// be followed).
 ///
 /// Reconnect semantics: the connection is opened lazily on first use
 /// and reopened transparently on the NEXT call after an error. When a
@@ -156,8 +147,8 @@ class PolicyClient : public serve::PolicyService {
   ActHandle SubmitAct(uint64_t user_id, const nn::Tensor& obs,
                       int deadline_ms = 0);
   /// Blocks until the handle's reply arrives or its deadline passes.
-  /// kOk fills *reply; kTimeout abandons the request (v3: late replies
-  /// are dropped; pre-v3: the connection is poisoned); kClosed means
+  /// kOk fills *reply; kTimeout abandons the request (a late reply is
+  /// dropped, the connection survives); kClosed means
   /// the connection died with the request in flight — the request may
   /// or may not have been applied server-side, and it is NOT retried
   /// (see reconnect semantics above). kInvalidHandle: unknown or
@@ -179,8 +170,7 @@ class PolicyClient : public serve::PolicyService {
   /// obs::MergeSnapshots). Idempotent; retried with backoff.
   TransportStatus FetchMetrics(obs::MetricsSnapshot* snapshot);
 
-  /// Eagerly opens the connection and runs the version handshake
-  /// (otherwise the first request does).
+  /// Eagerly opens the connection (otherwise the first request does).
   TransportStatus Connect();
   void Close();
 
@@ -217,7 +207,7 @@ class PolicyClient : public serve::PolicyService {
                                     std::string* reply_payload);
 
   TransportStatus EnsureConnected();
-  /// Connect + v2-ping version handshake. Caller holds conn_mutex_.
+  /// Dials and starts the receiver. Caller holds conn_mutex_.
   TransportStatus ConnectLocked();
   /// Fails every pending request (kClosed), marks the connection dead
   /// and wakes the receiver. `this_id` (when nonzero) gets
@@ -228,17 +218,14 @@ class PolicyClient : public serve::PolicyService {
 
   PolicyClientConfig config_;
 
-  /// Connection state. conn_mutex_ guards channel replacement and the
-  /// handshake; writers snapshot the shared_ptr so a racing Close can
-  /// never free a channel mid-write.
+  /// Connection state. conn_mutex_ guards channel replacement; writers
+  /// snapshot the shared_ptr so a racing Close can never free a channel
+  /// mid-write.
   mutable std::mutex conn_mutex_;
   std::shared_ptr<ByteChannel> channel_;  // guarded by conn_mutex_
   std::thread rx_thread_;                 // guarded by conn_mutex_
   int generation_ = 0;                    // guarded by conn_mutex_
   std::atomic<bool> conn_dead_{true};
-  std::atomic<uint8_t> negotiated_version_{0};
-  std::atomic<uint8_t> server_version_{0};
-  bool version_mismatch_logged_ = false;  // guarded by conn_mutex_
 
   /// Outbound frame writes are serialized separately from the pending
   /// map: a writer blocked on a full socket buffer must not hold the
@@ -246,12 +233,11 @@ class PolicyClient : public serve::PolicyService {
   /// deadlock, with the server unable to drain because we cannot read).
   std::mutex write_mutex_;
 
-  /// Pending-request state. Ordered map: begin() is the oldest
-  /// in-flight id, which IS the FIFO matching rule for pre-v3 replies.
+  /// Pending-request state, keyed by request id.
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::map<uint64_t, Pending> pending_;     // guarded by mu_
-  std::unordered_set<uint64_t> abandoned_;  // timed-out v3 ids, guarded by mu_
+  std::unordered_set<uint64_t> abandoned_;  // timed-out ids, guarded by mu_
   WireError last_error_ = WireError::kNone;      // guarded by mu_
   std::string last_error_message_;               // guarded by mu_
 

@@ -28,7 +28,7 @@ PolicyServer::PolicyServer(serve::PolicyService* service,
   S2R_CHECK(config.max_inflight_per_connection >= 1);
   S2R_CHECK(config.shm_lanes >= 0);
   S2R_CHECK(config.limits.request_timeout_ms > 0);
-  S2R_CHECK(config.limits.max_frame_bytes > kMaxFrameHeaderBytes);
+  S2R_CHECK(config.limits.max_frame_bytes > kFrameHeaderBytes);
 }
 
 PolicyServer::~PolicyServer() { Shutdown(); }
@@ -85,7 +85,14 @@ void PolicyServer::Shutdown() {
   std::lock_guard<std::mutex> lock(shutdown_mutex_);
   if (!started_ || shut_down_) return;
   shut_down_ = true;
-  stop_.store(true, std::memory_order_relaxed);
+  {
+    // Set under the mutex idle workers wait with: stored outside it,
+    // the flag can land between a worker's predicate check and its
+    // sleep, and the notify below is then lost — the worker never
+    // wakes and the join below never returns.
+    std::lock_guard<std::mutex> queue_lock(queue_mutex_);
+    stop_.store(true, std::memory_order_relaxed);
+  }
   queue_cv_.notify_all();
   // The accept loop notices stop_ at its next tick (<= ~50ms); only
   // after it joins is the listener closed — closing an fd another
@@ -241,9 +248,11 @@ void PolicyServer::DispatcherLoop() {
 void PolicyServer::ServeChannel(ByteChannel* channel) {
   ConnState conn;
   conn.channel = channel;
-  uint8_t header[kMaxFrameHeaderBytes];
-  bool send_malformed_error = false;
-  const char* malformed_reason = nullptr;
+  uint8_t header[kFrameHeaderBytes];
+  // Set when the reader gives up on the stream with something to tell
+  // the peer first (framing lost, or a frame of another version).
+  WireError close_error = WireError::kNone;
+  const char* close_reason = nullptr;
 
   while (!stop_.load(std::memory_order_relaxed) &&
          !conn.broken.load(std::memory_order_acquire)) {
@@ -255,7 +264,7 @@ void PolicyServer::ServeChannel(ByteChannel* channel) {
 
     // Bytes are flowing: the rest of the request runs on the deadline.
     const IoStatus header_status = channel->ReadFull(
-        header, kFrameHeaderBytes, config_.limits.request_timeout_ms);
+        header, kFramePrefixBytes, config_.limits.request_timeout_ms);
     if (header_status == IoStatus::kClosed) break;  // orderly hangup
     if (header_status != IoStatus::kOk) {
       // Truncated header / mid-stream disconnect / timeout.
@@ -271,34 +280,36 @@ void PolicyServer::ServeChannel(ByteChannel* channel) {
     FrameHeader frame;
     const HeaderStatus decoded =
         DecodeHeader(header, config_.limits.max_frame_bytes, &frame);
+    if (decoded == HeaderStatus::kUnsupportedVersion) {
+      // Intact as far as we can tell, but another version's header
+      // length is unknown, so the next frame cannot be found: refuse
+      // and close without reading on (or waiting for) any more bytes.
+      close_error = WireError::kUnsupportedVersion;
+      close_reason = "protocol version is not 3";
+      break;
+    }
     if (decoded != HeaderStatus::kOk) {
       malformed_frames_.fetch_add(1, std::memory_order_relaxed);
       S2R_COUNT("transport.malformed_frames", 1);
-      send_malformed_error = true;
-      malformed_reason = decoded == HeaderStatus::kBadMagic
-                             ? "bad magic"
-                             : "frame too large";
+      close_error = WireError::kMalformedFrame;
+      close_reason = decoded == HeaderStatus::kBadMagic ? "bad magic"
+                                                        : "frame too large";
       break;  // framing lost; the stream cannot be trusted again
     }
 
-    // v3 (and anything newer, which by contract keeps the v3 prefix)
-    // carries the request id between the fixed header and the payload.
-    const size_t header_len = FrameHeaderBytesFor(frame.version);
-    if (header_len > kFrameHeaderBytes) {
-      const IoStatus id_status = channel->ReadFull(
-          header + kFrameHeaderBytes, header_len - kFrameHeaderBytes,
-          config_.limits.request_timeout_ms);
-      if (id_status != IoStatus::kOk) {
-        if (id_status == IoStatus::kTimeout) {
-          timeouts_.fetch_add(1, std::memory_order_relaxed);
-          S2R_COUNT("transport.timeouts", 1);
-        }
-        malformed_frames_.fetch_add(1, std::memory_order_relaxed);
-        S2R_COUNT("transport.malformed_frames", 1);
-        break;
+    const IoStatus id_status =
+        channel->ReadFull(header + kFramePrefixBytes, kRequestIdBytes,
+                          config_.limits.request_timeout_ms);
+    if (id_status != IoStatus::kOk) {
+      if (id_status == IoStatus::kTimeout) {
+        timeouts_.fetch_add(1, std::memory_order_relaxed);
+        S2R_COUNT("transport.timeouts", 1);
       }
-      DecodeRequestId(header + kFrameHeaderBytes, &frame);
+      malformed_frames_.fetch_add(1, std::memory_order_relaxed);
+      S2R_COUNT("transport.malformed_frames", 1);
+      break;
     }
+    DecodeRequestId(header + kFramePrefixBytes, &frame);
 
     std::string payload(frame.payload_len, '\0');
     if (frame.payload_len > 0) {
@@ -316,42 +327,36 @@ void PolicyServer::ServeChannel(ByteChannel* channel) {
       }
     }
 
-    if (!FrameCrcMatches(header, header_len, payload)) {
+    if (!FrameCrcMatches(header, payload)) {
       malformed_frames_.fetch_add(1, std::memory_order_relaxed);
       S2R_COUNT("transport.malformed_frames", 1);
-      send_malformed_error = true;
-      malformed_reason = "crc mismatch";
+      close_error = WireError::kMalformedFrame;
+      close_reason = "crc mismatch";
       break;  // bytes corrupted in flight; close
     }
 
-    if (frame.version >= 3) {
-      // Multiplexed lane: hand the request to the dispatch pool and go
-      // straight back to reading, so several requests from this one
-      // connection can sit inside the micro-batcher together. The
-      // inflight cap is the per-connection backpressure valve.
-      {
-        std::unique_lock<std::mutex> lock(conn.mu);
-        conn.cv.wait(lock, [this, &conn] {
-          return conn.inflight < config_.max_inflight_per_connection ||
-                 conn.broken.load(std::memory_order_acquire) ||
-                 stop_.load(std::memory_order_relaxed);
-        });
-        if (conn.broken.load(std::memory_order_acquire)) break;
-        ++conn.inflight;
-      }
-      dispatched_requests_.fetch_add(1, std::memory_order_relaxed);
-      S2R_COUNT("transport.dispatched_requests", 1);
-      {
-        std::lock_guard<std::mutex> lock(dispatch_mutex_);
-        dispatch_queue_.push_back(
-            DispatchTask{&conn, frame, std::move(payload)});
-      }
-      dispatch_cv_.notify_one();
-    } else {
-      // Pre-v3 frames carry no request id, so replies are matched by
-      // order alone: serve serially, exactly like the v2 server did.
-      if (!HandleFrame(conn, frame, payload)) break;
+    // Hand the request to the dispatch pool and go straight back to
+    // reading, so several requests from this one connection can sit
+    // inside the micro-batcher together. The inflight cap is the
+    // per-connection backpressure valve.
+    {
+      std::unique_lock<std::mutex> lock(conn.mu);
+      conn.cv.wait(lock, [this, &conn] {
+        return conn.inflight < config_.max_inflight_per_connection ||
+               conn.broken.load(std::memory_order_acquire) ||
+               stop_.load(std::memory_order_relaxed);
+      });
+      if (conn.broken.load(std::memory_order_acquire)) break;
+      ++conn.inflight;
     }
+    dispatched_requests_.fetch_add(1, std::memory_order_relaxed);
+    S2R_COUNT("transport.dispatched_requests", 1);
+    {
+      std::lock_guard<std::mutex> lock(dispatch_mutex_);
+      dispatch_queue_.push_back(
+          DispatchTask{&conn, frame, std::move(payload)});
+    }
+    dispatch_cv_.notify_one();
   }
 
   // The reader is done with the socket, but dispatched requests still
@@ -360,12 +365,11 @@ void PolicyServer::ServeChannel(ByteChannel* channel) {
     std::unique_lock<std::mutex> lock(conn.mu);
     conn.cv.wait(lock, [&conn] { return conn.inflight == 0; });
   }
-  if (send_malformed_error &&
+  if (close_error != WireError::kNone &&
       !conn.broken.load(std::memory_order_acquire)) {
     // Best-effort diagnostic after the pipeline drained (a poisoned
     // frame must not interleave with in-flight replies).
-    SendError(conn, WireError::kMalformedFrame, malformed_reason,
-              kProtocolVersion, 0);
+    SendError(conn, close_error, close_reason, 0);
   }
 }
 
@@ -377,28 +381,12 @@ bool PolicyServer::HandleFrame(ConnState& conn, const FrameHeader& header,
   requests_.fetch_add(1, std::memory_order_relaxed);
   S2R_COUNT("transport.requests", 1);
   S2R_HISTOGRAM("transport.request_bytes",
-                static_cast<double>(FrameHeaderBytesFor(header.version) +
-                                    payload.size()));
+                static_cast<double>(kFrameHeaderBytes + payload.size()));
   const double start_us = obs::MonotonicMicros();
 
-  // Replies (and typed errors) echo the request's version capped at
-  // our own, so an old client only ever sees frames it understands;
-  // reply payload layouts are identical across versions 1..3. The
-  // request id rides back on every v3 reply — it is the multiplexing
-  // key.
-  const uint8_t reply_version = header.version > kProtocolVersion
-                                    ? kProtocolVersion
-                                    : header.version;
+  // The request id rides back on every reply (typed errors included):
+  // it is the multiplexing key.
   const uint64_t id = header.request_id;
-
-  // Version gate: the frame decoded (the header prefix is fixed across
-  // versions), but its payload may mean something newer than this
-  // binary. Intact request, unsupported — connection survives.
-  if (header.version > kProtocolVersion) {
-    SendError(conn, WireError::kUnsupportedVersion,
-              "protocol version newer than server", reply_version, id);
-    return true;
-  }
 
   uint64_t trace_id = 0;  // nonzero once an Act request carried one
 
@@ -407,11 +395,9 @@ bool PolicyServer::HandleFrame(ConnState& conn, const FrameHeader& header,
     case MessageType::kActRequest: {
       uint64_t user_id = 0;
       nn::Tensor obs;
-      if (!DecodeActRequest(payload, header.version, &user_id, &trace_id,
-                            &obs) ||
+      if (!DecodeActRequest(payload, &user_id, &trace_id, &obs) ||
           obs.rows() != 1 || obs.cols() < 1) {
-        SendError(conn, WireError::kBadPayload, "bad act request",
-                  reply_version, id);
+        SendError(conn, WireError::kBadPayload, "bad act request", id);
         return true;
       }
       // The client's trace id becomes this thread's current trace id
@@ -429,63 +415,56 @@ bool PolicyServer::HandleFrame(ConnState& conn, const FrameHeader& header,
         // A throwing backend (fault injection, transient shard trouble)
         // fails this request only: typed error frame, connection — and
         // every other session on it — survives.
-        SendError(conn, WireError::kInternal, e.what(), reply_version, id);
+        SendError(conn, WireError::kInternal, e.what(), id);
         return true;
       }
-      ok = SendFrame(conn, MessageType::kActReply, EncodeActReply(reply),
-                     reply_version, id);
+      ok = SendFrame(conn, MessageType::kActReply, EncodeActReply(reply), id);
       break;
     }
     case MessageType::kEndSessionRequest: {
       uint64_t user_id = 0;
       if (!DecodeU64(payload, &user_id)) {
         SendError(conn, WireError::kBadPayload, "bad end-session request",
-                  reply_version, id);
+                  id);
         return true;
       }
       try {
         service_->EndSession(user_id);
       } catch (const std::exception& e) {
-        SendError(conn, WireError::kInternal, e.what(), reply_version, id);
+        SendError(conn, WireError::kInternal, e.what(), id);
         return true;
       }
-      ok = SendFrame(conn, MessageType::kEndSessionReply, std::string(),
-                     reply_version, id);
+      ok = SendFrame(conn, MessageType::kEndSessionReply, std::string(), id);
       break;
     }
     case MessageType::kPingRequest: {
       uint64_t nonce = 0;
       if (!DecodeU64(payload, &nonce)) {
-        SendError(conn, WireError::kBadPayload, "bad ping request",
-                  reply_version, id);
+        SendError(conn, WireError::kBadPayload, "bad ping request", id);
         return true;
       }
       ok = SendFrame(conn, MessageType::kPingReply,
-                     EncodePingReply(nonce, kProtocolVersion),
-                     reply_version, id);
+                     EncodePingReply(nonce, kProtocolVersion), id);
       break;
     }
     case MessageType::kMetricsRequest: {
       if (!payload.empty()) {
-        SendError(conn, WireError::kBadPayload, "bad metrics request",
-                  reply_version, id);
+        SendError(conn, WireError::kBadPayload, "bad metrics request", id);
         return true;
       }
       if (!config_.metrics_source) {
-        SendError(conn, WireError::kUnavailable, "no metrics source",
-                  reply_version, id);
+        SendError(conn, WireError::kUnavailable, "no metrics source", id);
         return true;
       }
       ok = SendFrame(conn, MessageType::kMetricsReply,
-                     obs::EncodeSnapshot(config_.metrics_source()),
-                     reply_version, id);
+                     obs::EncodeSnapshot(config_.metrics_source()), id);
       break;
     }
     default:
       // Forward compatibility: a type from the future is an intact
       // request this binary cannot serve; say so and keep going.
       SendError(conn, WireError::kUnsupportedType, "unknown message type",
-                reply_version, id);
+                id);
       return true;
   }
   S2R_HISTOGRAM_EX("transport.request_us",
@@ -496,10 +475,10 @@ bool PolicyServer::HandleFrame(ConnState& conn, const FrameHeader& header,
 }
 
 bool PolicyServer::SendFrame(ConnState& conn, MessageType type,
-                             const std::string& payload, uint8_t version,
+                             const std::string& payload,
                              uint64_t request_id) {
   const std::string frame =
-      EncodeFrame(type, payload, version, /*flags=*/0, request_id);
+      EncodeFrame(type, payload, /*flags=*/0, request_id);
   IoStatus status;
   {
     // Dispatchers finish in completion order; the write mutex keeps
@@ -517,12 +496,11 @@ bool PolicyServer::SendFrame(ConnState& conn, MessageType type,
 }
 
 bool PolicyServer::SendError(ConnState& conn, WireError code,
-                             const char* message, uint8_t version,
-                             uint64_t request_id) {
+                             const char* message, uint64_t request_id) {
   errors_sent_.fetch_add(1, std::memory_order_relaxed);
   S2R_COUNT("transport.errors_sent", 1);
   return SendFrame(conn, MessageType::kError, EncodeError(code, message),
-                   version, request_id);
+                   request_id);
 }
 
 }  // namespace transport

@@ -31,20 +31,19 @@ struct PolicyServerConfig {
   int port = 0;
 
   /// Connection-reading worker threads. Each worker owns one
-  /// connection at a time (it reads frames; v3 requests are handed to
-  /// the dispatch pool, older versions are answered in place), so this
-  /// is also the number of clients served concurrently; size it at
-  /// least to the expected client count. The micro-batching
-  /// InferenceServer behind the transport is what coalesces
-  /// concurrency, so a handful of workers front a much larger user
-  /// population.
+  /// connection at a time (it reads frames and hands each request to
+  /// the dispatch pool), so this is also the number of clients served
+  /// concurrently; size it at least to the expected client count. The
+  /// micro-batching InferenceServer behind the transport is what
+  /// coalesces concurrency, so a handful of workers front a much
+  /// larger user population.
   int num_workers = 4;
   /// Accepted connections waiting for a free worker. Beyond this the
   /// accept loop closes new connections immediately (graceful
   /// degradation: refuse, never queue unboundedly).
   int max_pending_connections = 64;
 
-  /// Threads executing dispatched v3 requests, shared across all
+  /// Threads executing dispatched requests, shared across all
   /// connections and lanes. They are what lets one pipelined
   /// connection have several Acts inside the micro-batcher at once.
   int dispatch_threads = 4;
@@ -89,7 +88,7 @@ struct PolicyServerStats {
   int64_t connections_accepted = 0;
   int64_t connections_rejected = 0;  // pending queue full
   int64_t requests = 0;              // well-formed frames handled
-  int64_t dispatched_requests = 0;   // v3 frames run on the dispatch pool
+  int64_t dispatched_requests = 0;   // frames run on the dispatch pool
   int64_t shm_sessions = 0;          // shm-lane client sessions completed
   int64_t malformed_frames = 0;      // bad magic / oversized / CRC
   int64_t errors_sent = 0;           // kError frames written
@@ -105,24 +104,22 @@ struct PolicyServerStats {
 ///
 /// Threading: one accept thread, num_workers connection readers, one
 /// pump thread per shm lane, and dispatch_threads request executors.
-/// A reader decodes frames; protocol-v3 requests (which carry a
-/// request id) are enqueued to the dispatch pool so several requests
-/// from ONE connection can be inside the service concurrently, with
-/// replies written as they finish — tagged with the request id, in
-/// whatever order they complete. v1/v2 frames have no id, so those
-/// connections are served serially in arrival order, exactly as
-/// before. The fronted service must be thread-safe for concurrent
-/// Act/EndSession — both PolicyService implementations are — and must
-/// outlive the server.
+/// A reader decodes frames and enqueues each request to the dispatch
+/// pool, so several requests from ONE connection can be inside the
+/// service concurrently, with replies written as they finish — tagged
+/// with the request id, in whatever order they complete. The fronted
+/// service must be thread-safe for concurrent Act/EndSession — both
+/// PolicyService implementations are — and must outlive the server.
 ///
 /// Degradation: malformed frames (bad magic, oversized length, CRC
-/// mismatch) are answered with a best-effort kError frame and the
-/// connection is closed after in-flight requests drain — a byte
-/// stream that failed framing cannot be resynchronized — but the
-/// server itself never aborts and other connections are unaffected.
-/// Well-framed but unintelligible requests (unknown type, undecodable
-/// payload, version from the future) get a kError reply and the
-/// connection stays usable.
+/// mismatch) and frames of any version but kProtocolVersion are
+/// answered with a best-effort kError frame (kMalformedFrame /
+/// kUnsupportedVersion) and the connection is closed after in-flight
+/// requests drain — a byte stream whose framing failed or whose header
+/// length is unknown cannot be resynchronized — but the server itself
+/// never aborts and other connections are unaffected. Well-framed but
+/// unintelligible requests (unknown type, undecodable payload) get a
+/// kError reply and the connection stays usable.
 ///
 /// Shutdown: Start()/Shutdown() bracket the serving window. Shutdown
 /// stops accepting, lets every in-flight request finish and its reply
@@ -184,19 +181,15 @@ class PolicyServer {
   /// shutdown; waits for in-flight dispatched requests to drain before
   /// returning.
   void ServeChannel(ByteChannel* channel);
-  /// Handles one well-framed message (on the reader for v1/v2, on a
-  /// dispatcher for v3). Returns false when the connection must close
-  /// (reply unwritable).
+  /// Handles one well-framed message on a dispatcher thread. Returns
+  /// false when the connection must close (reply unwritable).
   bool HandleFrame(ConnState& conn, const FrameHeader& header,
                    const std::string& payload);
-  /// `version` stamps the outgoing frame — replies echo the request's
-  /// version (capped at our own) so a v1 client never receives a frame
-  /// it would reject as too new; `request_id` is echoed on v3 frames.
+  /// `request_id` is the id of the request being answered.
   bool SendFrame(ConnState& conn, MessageType type,
-                 const std::string& payload, uint8_t version,
-                 uint64_t request_id);
+                 const std::string& payload, uint64_t request_id);
   bool SendError(ConnState& conn, WireError code, const char* message,
-                 uint8_t version, uint64_t request_id);
+                 uint64_t request_id);
 
   serve::PolicyService* service_;
   PolicyServerConfig config_;

@@ -403,7 +403,7 @@ std::unique_ptr<ShmLane> ShmLane::Create(const std::string& name,
   if (!ValidLaneName(name)) return nullptr;
   // A ring must hold at least one maximal frame or WriteFull could
   // stall forever waiting for space that cannot exist.
-  if (config.ring_bytes < config.max_frame_bytes + kMaxFrameHeaderBytes) {
+  if (config.ring_bytes < config.max_frame_bytes + kFrameHeaderBytes) {
     return nullptr;
   }
   const std::string path = ShmPathFor(name);

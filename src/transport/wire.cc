@@ -70,36 +70,30 @@ const char* TransportStatusName(TransportStatus status) {
 }
 
 std::string EncodeFrame(MessageType type, const std::string& payload,
-                        uint8_t version, uint16_t flags,
-                        uint64_t request_id) {
+                        uint16_t flags, uint64_t request_id) {
   std::string out;
-  out.reserve(FrameHeaderBytesFor(version) + payload.size());
+  out.reserve(kFrameHeaderBytes + payload.size());
   AppendU32(&out, kFrameMagic);
-  AppendU8(&out, version);
+  AppendU8(&out, kProtocolVersion);
   AppendU8(&out, static_cast<uint8_t>(type));
   AppendU16(&out, flags);
   AppendU32(&out, static_cast<uint32_t>(payload.size()));
+  // The request id sits after the CRC slot but is CRC-covered, so a
+  // corrupted id can never route a reply to the wrong request.
+  std::string id_bytes;
+  AppendU64(&id_bytes, request_id);
   uint32_t crc = Crc32(out.data(), out.size());
-  if (version >= 3) {
-    // The request id sits after the CRC slot but is CRC-covered, so a
-    // corrupted id can never route a reply to the wrong request.
-    std::string id_bytes;
-    AppendU64(&id_bytes, request_id);
-    crc = Crc32(id_bytes.data(), id_bytes.size(), crc);
-    crc = Crc32(payload.data(), payload.size(), crc);
-    AppendU32(&out, crc);
-    out += id_bytes;
-  } else {
-    crc = Crc32(payload.data(), payload.size(), crc);
-    AppendU32(&out, crc);
-  }
+  crc = Crc32(id_bytes.data(), id_bytes.size(), crc);
+  crc = Crc32(payload.data(), payload.size(), crc);
+  AppendU32(&out, crc);
+  out += id_bytes;
   out += payload;
   return out;
 }
 
-HeaderStatus DecodeHeader(const uint8_t* header, size_t max_frame_bytes,
+HeaderStatus DecodeHeader(const uint8_t* prefix, size_t max_frame_bytes,
                           FrameHeader* out) {
-  ByteReader reader(header, kFrameHeaderBytes);
+  ByteReader reader(prefix, kFramePrefixBytes);
   uint32_t magic = 0;
   uint8_t version = 0, type = 0;
   uint16_t flags = 0;
@@ -111,11 +105,13 @@ HeaderStatus DecodeHeader(const uint8_t* header, size_t max_frame_bytes,
   reader.ReadU32(&payload_len);
   reader.ReadU32(&crc);
   if (magic != kFrameMagic) return HeaderStatus::kBadMagic;
+  // Checked before the length: another version's length field may not
+  // mean what ours does.
+  if (version != kProtocolVersion) return HeaderStatus::kUnsupportedVersion;
   if (static_cast<size_t>(payload_len) + kFrameHeaderBytes >
       max_frame_bytes) {
     return HeaderStatus::kTooLarge;
   }
-  out->version = version;
   out->type = static_cast<MessageType>(type);
   out->flags = flags;
   out->payload_len = payload_len;
@@ -128,18 +124,14 @@ void DecodeRequestId(const uint8_t* bytes, FrameHeader* out) {
   reader.ReadU64(&out->request_id);
 }
 
-bool FrameCrcMatches(const uint8_t* header, size_t header_len,
-                     const std::string& payload) {
+bool FrameCrcMatches(const uint8_t* header, const std::string& payload) {
   // The header stores the CRC little-endian; reassemble explicitly so
   // the check is host-order independent.
   uint32_t stored = 0;
   ByteReader reader(header + 12, 4);
   reader.ReadU32(&stored);
   uint32_t actual = Crc32(header, 12);
-  if (header_len > kFrameHeaderBytes) {
-    actual = Crc32(header + kFrameHeaderBytes,
-                   header_len - kFrameHeaderBytes, actual);
-  }
+  actual = Crc32(header + kFramePrefixBytes, kRequestIdBytes, actual);
   actual = Crc32(payload.data(), payload.size(), actual);
   return stored == actual;
 }
@@ -153,23 +145,10 @@ std::string EncodeActRequest(uint64_t user_id, const nn::Tensor& obs,
   return out;
 }
 
-std::string EncodeActRequestV1(uint64_t user_id, const nn::Tensor& obs) {
-  std::string out;
-  AppendU64(&out, user_id);
-  AppendTensor(&out, obs);
-  return out;
-}
-
-bool DecodeActRequest(const std::string& payload, uint8_t version,
-                      uint64_t* user_id, uint64_t* trace_id,
-                      nn::Tensor* obs) {
+bool DecodeActRequest(const std::string& payload, uint64_t* user_id,
+                      uint64_t* trace_id, nn::Tensor* obs) {
   ByteReader reader(payload.data(), payload.size());
-  if (!reader.ReadU64(user_id)) return false;
-  if (version >= 2) {
-    if (!reader.ReadU64(trace_id)) return false;
-  } else {
-    *trace_id = 0;
-  }
+  if (!reader.ReadU64(user_id) || !reader.ReadU64(trace_id)) return false;
   if (!ReadTensor(&reader, obs)) return false;
   return reader.remaining() == 0;
 }

@@ -14,31 +14,30 @@ namespace transport {
 
 /// Byte-level wire protocol of the serving transport. The normative
 /// reference — frame layout, every field encoding, the worked hex dump
-/// of an Act round trip, and the compatibility policy — lives in
+/// of an Act round trip, and the versioning rule — lives in
 /// docs/PROTOCOL.md; this header is its executable counterpart.
 ///
-/// Every message travels in one frame:
+/// Every message travels in one frame with a 24-byte header:
 ///
 ///   offset size field
 ///   0      4    magic 0x54523253 ("S2RT" when read as bytes)
-///   4      1    protocol version of the sender (currently 3)
+///   4      1    protocol version (always 3)
 ///   5      1    message type (MessageType)
 ///   6      2    flags — reserved, senders write 0, receivers ignore
 ///   8      4    payload length in bytes
 ///   12     4    CRC-32 (zlib polynomial, util/crc32) over header
-///               bytes [0, 12), then (v3+) the request-id bytes,
-///               then the payload
-///   16     8    u64 request id — v3+ frames only; v1/v2 headers end
-///               at offset 16
-///   16/24  n    payload
+///               bytes [0, 12), then the request-id bytes, then the
+///               payload
+///   16     8    u64 request id
+///   24     n    payload
 ///
 /// All integers are little-endian; doubles are IEEE-754 binary64 bit
 /// patterns, so replies decoded from the wire are bitwise-identical to
 /// the in-process values — the repo's replay guarantee crosses the
 /// network boundary intact.
 ///
-/// The request id is the multiplexing key: a v3 client may pipeline
-/// many requests on one connection, the server dispatches them to its
+/// The request id is the multiplexing key: a client may pipeline many
+/// requests on one connection, the server dispatches them to its
 /// worker pool concurrently, and every reply (including typed kError
 /// replies) carries the id of the request it answers — so replies may
 /// arrive in any order. The id is opaque to the server (echoed, never
@@ -48,46 +47,26 @@ namespace transport {
 /// order-dependent requests (e.g. two Acts for the same user, or an
 /// Act and the EndSession that follows it) without awaiting the first.
 ///
-/// Compatibility policy (mirrors the checkpoint-manifest policy in
-/// serve/checkpoint.h): the version is bumped ONLY when correct
-/// decoding requires new understanding. Purely additive evolution rides
-/// on new message types (an unknown type gets a kUnsupportedType error
-/// reply, the connection survives) or on flags bits (receivers must
-/// ignore bits they do not know). Receivers accept every version up to
-/// their own; a newer version is answered with kUnsupportedVersion —
-/// reported distinctly, never conflated with corruption.
-///
-/// Version history:
-///   1  initial protocol.
-///   2  Act request payload gains a u64 trace id between the user id
-///      and the observation tensor (the correlation key the
-///      observability plane shares — see obs/trace.h). Version-2
-///      request payloads need new decoding, hence the bump; every
-///      reply payload is unchanged, and a server answering a v1
-///      request echoes version 1 on the reply frame, so v1 clients
-///      interoperate with v2 servers in both directions.
-///   3  the frame header grows a u64 request id after the CRC (header
-///      is 24 bytes, CRC covers the id), enabling out-of-order replies
-///      and pipelining. v1/v2 frames keep their 16-byte header and are
-///      served one at a time in arrival order, replied at the sender's
-///      version — the reply-echo policy unchanged.
+/// Versioning: one version is spoken. Additive evolution rides on new
+/// message types (an unknown type gets a kUnsupportedType error reply,
+/// the connection survives) or on flags bits (receivers must ignore
+/// bits they do not know). A frame whose version byte is not
+/// kProtocolVersion is refused as soon as its 16-byte prefix is read:
+/// its header length is unknown, so the receiver cannot find the next
+/// frame — the server answers kUnsupportedVersion and closes the
+/// connection, the client fails its in-flight requests.
 
 constexpr uint32_t kFrameMagic = 0x54523253;  // "S2RT"
 constexpr uint8_t kProtocolVersion = 3;
-/// Fixed header prefix shared by every protocol version. v3+ frames
-/// append kRequestIdBytes more header bytes (the u64 request id).
-constexpr size_t kFrameHeaderBytes = 16;
+/// Header bytes [0, 16): magic through CRC. DecodeHeader validates
+/// them before the request id is read.
+constexpr size_t kFramePrefixBytes = 16;
 constexpr size_t kRequestIdBytes = 8;
-constexpr size_t kMaxFrameHeaderBytes = kFrameHeaderBytes + kRequestIdBytes;
-
-/// Header size (prefix + request id when present) for a given frame
-/// version — how many bytes precede the payload.
-constexpr size_t FrameHeaderBytesFor(uint8_t version) {
-  return version >= 3 ? kMaxFrameHeaderBytes : kFrameHeaderBytes;
-}
+/// Bytes preceding the payload in every frame.
+constexpr size_t kFrameHeaderBytes = kFramePrefixBytes + kRequestIdBytes;
 
 enum class MessageType : uint8_t {
-  kActRequest = 1,         // u64 user_id, u64 trace_id (v2+), tensor obs
+  kActRequest = 1,         // u64 user_id, u64 trace_id, tensor obs
   kActReply = 2,           // tensor action, u8 clamped, f64 value, u32 batch
   kEndSessionRequest = 3,  // u64 user_id
   kEndSessionReply = 4,    // empty
@@ -105,7 +84,7 @@ enum class MessageType : uint8_t {
 enum class WireError : uint16_t {
   kNone = 0,
   kMalformedFrame = 1,      // bad magic, oversized length, CRC mismatch
-  kUnsupportedVersion = 2,  // sender's protocol version is newer
+  kUnsupportedVersion = 2,  // frame version is not kProtocolVersion
   kUnsupportedType = 3,     // unknown MessageType
   kBadPayload = 4,          // frame intact, payload did not decode
   kUnavailable = 5,         // e.g. metrics requested but no source wired
@@ -131,12 +110,11 @@ enum class TransportStatus {
 
 const char* TransportStatusName(TransportStatus status);
 
-/// Decoded frame header, validated against magic and a frame-size
-/// bound but not yet against the CRC (the payload is needed for that).
-/// `request_id` stays 0 until the caller reads the v3 header extension
-/// (DecodeRequestId) — v1/v2 frames have no request-id field.
+/// Decoded frame header, validated against magic, version and a
+/// frame-size bound but not yet against the CRC (the payload is needed
+/// for that). `request_id` stays 0 until the caller reads the request-id
+/// bytes (DecodeRequestId).
 struct FrameHeader {
-  uint8_t version = 0;
   MessageType type = MessageType::kError;
   uint16_t flags = 0;
   uint32_t payload_len = 0;
@@ -147,60 +125,49 @@ struct FrameHeader {
 enum class HeaderStatus {
   kOk = 0,
   kBadMagic,
-  kTooLarge,  // payload_len + header exceeds max_frame_bytes
+  kUnsupportedVersion,  // version byte is not kProtocolVersion
+  kTooLarge,            // header + payload exceeds max_frame_bytes
 };
 
 /// Encodes one complete frame (header + payload) ready to write.
-/// Version >= 3 frames carry `request_id` in the header (CRC-covered);
-/// the id is ignored for v1/v2 frames, which have no field for it.
 std::string EncodeFrame(MessageType type, const std::string& payload,
-                        uint8_t version = kProtocolVersion,
                         uint16_t flags = 0, uint64_t request_id = 0);
 
-/// Validates the fixed-size header prefix. `header` must hold
-/// kFrameHeaderBytes bytes. The type byte is NOT range-checked here —
-/// an unknown type must survive header decoding so the receiver can
-/// answer kUnsupportedType instead of dropping the connection. For a
-/// v3+ frame the caller then reads kRequestIdBytes more header bytes
-/// and hands them to DecodeRequestId.
-HeaderStatus DecodeHeader(const uint8_t* header, size_t max_frame_bytes,
+/// Validates the header prefix. `prefix` must hold kFramePrefixBytes
+/// bytes. The type byte is NOT range-checked here — an unknown type
+/// must survive header decoding so the receiver can answer
+/// kUnsupportedType instead of dropping the connection. On kOk the
+/// caller then reads kRequestIdBytes more header bytes and hands them
+/// to DecodeRequestId.
+HeaderStatus DecodeHeader(const uint8_t* prefix, size_t max_frame_bytes,
                           FrameHeader* out);
 
-/// Decodes the v3 header extension (`bytes` holds kRequestIdBytes)
-/// into out->request_id.
+/// Decodes the request-id bytes (`bytes` holds kRequestIdBytes) into
+/// out->request_id.
 void DecodeRequestId(const uint8_t* bytes, FrameHeader* out);
 
 /// True when the stored CRC matches header bytes [0, 12), then header
-/// bytes [16, header_len) — the request id, when present — then the
-/// payload. `header_len` is FrameHeaderBytesFor(version): 16 for
-/// v1/v2 frames, 24 for v3+ (the caller must have read the request-id
-/// bytes into `header + 16`).
-bool FrameCrcMatches(const uint8_t* header, size_t header_len,
-                     const std::string& payload);
+/// bytes [16, 24) — the request id — then the payload. `header` holds
+/// kFrameHeaderBytes bytes.
+bool FrameCrcMatches(const uint8_t* header, const std::string& payload);
 
 // --- Payload codecs. Every Decode* returns false on truncated,
 // oversized or trailing bytes and leaves outputs unspecified-but-valid;
 // none of them aborts on malformed input. -------------------------------
 
-/// Current-version (v2) Act request: u64 user id, u64 trace id (0 =
-/// no trace in scope), tensor obs.
+/// Act request: u64 user id, u64 trace id (0 = no trace in scope),
+/// tensor obs.
 std::string EncodeActRequest(uint64_t user_id, const nn::Tensor& obs,
                              uint64_t trace_id = 0);
-/// Version-1 layout (no trace id) — kept so v2 builds can still emit
-/// frames an old peer understands, and for compatibility tests.
-std::string EncodeActRequestV1(uint64_t user_id, const nn::Tensor& obs);
-/// Version-aware decode: `version` is the frame header's version byte.
-/// Version <= 1 payloads carry no trace id (*trace_id set to 0).
-bool DecodeActRequest(const std::string& payload, uint8_t version,
-                      uint64_t* user_id, uint64_t* trace_id,
-                      nn::Tensor* obs);
+bool DecodeActRequest(const std::string& payload, uint64_t* user_id,
+                      uint64_t* trace_id, nn::Tensor* obs);
 
 std::string EncodeActReply(const serve::ServeReply& reply);
 bool DecodeActReply(const std::string& payload, serve::ServeReply* reply);
 
 /// EndSession request and Ping request/reply payloads are a single u64
 /// (user id / echoed nonce); the ping reply additionally carries the
-/// responder's protocol version for negotiation diagnostics.
+/// responder's protocol version.
 std::string EncodeU64(uint64_t value);
 bool DecodeU64(const std::string& payload, uint64_t* value);
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "nn/ops.h"
 #include "nn/tape.h"
@@ -101,6 +102,13 @@ struct UnaryCase {
   double hi;
 };
 
+// Prints a case by its name. The default byte dump would put the addresses
+// of `name` and `op`, which change from run to run, into the test names that
+// gtest_discover_tests registers with CTest.
+void PrintTo(const UnaryCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
+
 class UnaryGradTest : public ::testing::TestWithParam<UnaryCase> {};
 
 TEST_P(UnaryGradTest, MatchesFiniteDifferences) {
@@ -131,10 +139,7 @@ INSTANTIATE_TEST_SUITE_P(
         UnaryCase{"log", &LogV, 0.3, 4.0},
         UnaryCase{"softplus", &SoftplusV, -4.0, 4.0},
         UnaryCase{"square", &SquareV, -2.0, 2.0},
-        UnaryCase{"sqrt", &SqrtV, 0.3, 4.0}),
-    [](const ::testing::TestParamInfo<UnaryCase>& info) {
-      return info.param.name;
-    });
+        UnaryCase{"sqrt", &SqrtV, 0.3, 4.0}));
 
 TEST(Autodiff, ReluGradientAwayFromKink) {
   auto f = [](Tape&, Var x) { return SumV(SquareV(ReluV(x))); };

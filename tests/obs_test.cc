@@ -24,6 +24,7 @@
 #include "obs/snapshot_codec.h"
 #include "obs/trace.h"
 #include "serve/inference_server.h"
+#include "util/bytes.h"
 
 namespace sim2rec {
 namespace obs {
@@ -1059,7 +1060,7 @@ TEST(MergeSnapshots, ConcatenatesExemplarsAcrossParts) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot codec v2: exemplar sections and the cross-version contract.
+// Snapshot codec v2: exemplar sections and the one-version contract.
 // ---------------------------------------------------------------------------
 
 TEST(SnapshotCodecV2, ExemplarRoundTripIsExact) {
@@ -1072,7 +1073,7 @@ TEST(SnapshotCodecV2, ExemplarRoundTripIsExact) {
 
   const std::string encoded = EncodeSnapshot(original);
   ASSERT_GE(encoded.size(), 6u);
-  EXPECT_EQ(encoded[4], 2);  // exemplars force a version-2 payload
+  EXPECT_EQ(encoded[4], 2);  // the one codec version
   EXPECT_EQ(encoded[5], 0);
 
   MetricsSnapshot decoded;
@@ -1093,65 +1094,41 @@ TEST(SnapshotCodecV2, ExemplarRoundTripIsExact) {
   EXPECT_DOUBLE_EQ(e.tags[1].value, 8.0);
 }
 
-TEST(SnapshotCodecV2, ExemplarFreeSnapshotEncodesAsByteIdenticalV1) {
-  MetricsRegistry registry;
-  registry.GetCounter("c")->Add(1);
-  registry.GetHistogram("h")->Record(3.0);  // no exemplar
-  const std::string encoded = EncodeSnapshot(registry.Snapshot());
-  ASSERT_GE(encoded.size(), 6u);
-  // Version bytes (u16 little-endian) say 1: pre-exemplar readers never
-  // see a version they don't know.
-  EXPECT_EQ(encoded[4], 1);
-  EXPECT_EQ(encoded[5], 0);
-  MetricsSnapshot decoded;
-  EXPECT_EQ(DecodeSnapshotEx(encoded, &decoded),
-            SnapshotDecodeStatus::kOk);
-}
-
-TEST(SnapshotCodecV2, OldReaderSeesMetricsWithoutExemplars) {
-  MetricsRegistry registry;
-  registry.GetCounter("transport.requests")->Add(5);
-  registry.GetHistogram("transport.request_us")
-      ->RecordWithExemplar(99.0, 4242);
-  const std::string encoded = EncodeSnapshot(registry.Snapshot());
-  ASSERT_EQ(encoded[4], 2);
-
-  // max_version=1 simulates a pre-exemplar reader: the base body still
-  // decodes, the exemplar section is skipped, and the verdict says so.
-  MetricsSnapshot decoded;
-  ASSERT_EQ(DecodeSnapshotEx(encoded, &decoded, /*max_version=*/1),
-            SnapshotDecodeStatus::kOkIgnoredNewer);
-  ASSERT_EQ(decoded.counters.size(), 1u);
-  EXPECT_EQ(decoded.counters[0].value, 5);
-  ASSERT_EQ(decoded.histograms.size(), 1u);
-  EXPECT_EQ(decoded.histograms[0].count, 1);
-  EXPECT_TRUE(decoded.histograms[0].exemplars.empty());
-  // The boolean wrapper treats the degraded decode as usable.
-  MetricsSnapshot via_bool;
-  EXPECT_TRUE(DecodeSnapshot(encoded, &via_bool));
-}
-
 TEST(SnapshotCodecV2, FutureVersionIsTypedRefusalNotAGuess) {
   MetricsRegistry registry;
   registry.GetCounter("c")->Add(1);
-  std::string encoded = EncodeSnapshot(registry.Snapshot());
-  encoded[4] = 99;  // claims a version this build has never seen
+  const std::string good = EncodeSnapshot(registry.Snapshot());
+  ASSERT_EQ(good[4], 2);  // exemplar-free snapshots are version 2 too
 
   MetricsSnapshot out;
   out.counters.push_back({"sentinel", 7});
-  EXPECT_EQ(DecodeSnapshotEx(encoded, &out),
-            SnapshotDecodeStatus::kUnsupportedVersion);
-  ASSERT_EQ(out.counters.size(), 1u);  // untouched on refusal
-  EXPECT_EQ(out.counters[0].name, "sentinel");
+  // Every version but 2 — the pre-exemplar 1, a never-specified 0, the
+  // next one up, one far in the future — is refused typed, never
+  // guessed at, and leaves the output untouched.
+  for (const uint8_t version : {0, 1, 3, 99}) {
+    std::string encoded = good;
+    encoded[4] = static_cast<char>(version);
+    EXPECT_EQ(DecodeSnapshotEx(encoded, &out),
+              SnapshotDecodeStatus::kUnsupportedVersion)
+        << "version=" << static_cast<int>(version);
+    ASSERT_EQ(out.counters.size(), 1u);
+    EXPECT_EQ(out.counters[0].name, "sentinel");
+  }
 
-  // Version 0 is malformed (the codec starts at 1); bad magic is typed
-  // separately.
-  encoded[4] = 0;
-  EXPECT_EQ(DecodeSnapshotEx(encoded, &out),
+  // Section 1 (exemplars) is the only section there is: any other id is
+  // damage, not something to skip.
+  std::string unknown_section = good;
+  AppendU16(&unknown_section, 2);
+  AppendU32(&unknown_section, 0);
+  EXPECT_EQ(DecodeSnapshotEx(unknown_section, &out),
             SnapshotDecodeStatus::kMalformed);
-  encoded[0] = 'Z';
-  EXPECT_EQ(DecodeSnapshotEx(encoded, &out),
+
+  // Bad magic is typed separately.
+  std::string bad_magic = good;
+  bad_magic[0] = 'Z';
+  EXPECT_EQ(DecodeSnapshotEx(bad_magic, &out),
             SnapshotDecodeStatus::kBadMagic);
+  EXPECT_EQ(out.counters[0].name, "sentinel");
 }
 
 TEST(SnapshotCodecV2, TruncationFuzzOverExemplarPayload) {

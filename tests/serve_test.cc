@@ -25,7 +25,6 @@
 #include "serve/checkpoint_watcher.h"
 #include "serve/hash_ring.h"
 #include "serve/inference_server.h"
-#include "serve/manifest_migration.h"
 #include "serve/serve_router.h"
 #include "serve/session_store.h"
 #include "serve/trajectory_log.h"
@@ -290,7 +289,7 @@ TEST(Checkpoint, LoadRejectsMissingAndCorruptBundles) {
   const fs::path manifest = dir.path() / "manifest.txt";
   {
     std::ofstream out(manifest);
-    out << "sim2rec_checkpoint 1\nobs_dim banana\n";
+    out << "sim2rec_checkpoint 3\nobs_dim banana\n";
   }
   EXPECT_EQ(LoadCheckpoint(dir.str()), nullptr);
 
@@ -976,8 +975,26 @@ TEST(SessionStore, RestorePreservesAgeAndReproducesLruOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint v2: CRC integrity and the version-compatibility policy.
+// Checkpoint integrity and versioning.
 // ---------------------------------------------------------------------------
+
+/// Rewrites the version line of a saved manifest, leaving every other
+/// line as written.
+void SetManifestVersion(const fs::path& manifest, int version) {
+  std::string text;
+  {
+    std::ifstream in(manifest);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const std::string current = "sim2rec_checkpoint 3";
+  const size_t at = text.find(current);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, current.size(),
+               "sim2rec_checkpoint " + std::to_string(version));
+  std::ofstream out(manifest);
+  out << text;
+}
 
 TEST(Checkpoint, LoadExDistinguishesCorruptionFromUnsupportedVersion) {
   ScratchDir dir("ckpt_v2");
@@ -1022,22 +1039,19 @@ TEST(Checkpoint, LoadExDistinguishesCorruptionFromUnsupportedVersion) {
   EXPECT_EQ(LoadCheckpointEx(dir.str()).status, LoadStatus::kCorrupt);
   EXPECT_EQ(LoadCheckpoint(dir.str()), nullptr);
 
-  // A future format version is *not* corruption — the bundle may be
-  // fine; this binary just cannot read it.
-  ASSERT_TRUE(SaveCheckpoint(dir.str(), agent));
-  {
-    std::string future = manifest_text;
-    future.replace(future.find("sim2rec_checkpoint 3"),
-                   std::strlen("sim2rec_checkpoint 3"),
-                   "sim2rec_checkpoint 99");
-    std::ofstream out(manifest);
-    out << future;
+  // Any other format version, older or newer, is *not* corruption —
+  // the bundle may be fine; this binary just does not read it.
+  for (const int version : {1, 2, 99}) {
+    ASSERT_TRUE(SaveCheckpoint(dir.str(), agent));
+    SetManifestVersion(manifest, version);
+    LoadResult result = LoadCheckpointEx(dir.str());
+    EXPECT_EQ(result.status, LoadStatus::kVersionUnsupported)
+        << "v" << version;
+    EXPECT_EQ(result.policy, nullptr);
   }
-  EXPECT_EQ(LoadCheckpointEx(dir.str()).status,
-            LoadStatus::kVersionUnsupported);
 
-  // A manifest claiming v2+ but missing its CRC lines is corrupt: the
-  // integrity guarantee v2 promises cannot be checked.
+  // A manifest missing its CRC lines is corrupt: the lines are
+  // mandatory, so the integrity guarantee cannot be checked.
   {
     std::istringstream in(manifest_text);
     std::ostringstream out;
@@ -1072,169 +1086,6 @@ TEST(Checkpoint, LoadExDistinguishesCorruptionFromUnsupportedVersion) {
   EXPECT_EQ(LoadCheckpointEx(dir.str()).status, LoadStatus::kCorrupt);
 }
 
-/// Rewrites a freshly-saved v3 bundle as an earlier on-disk format:
-/// version line downgraded, v3 key spellings reverted to their legacy
-/// forms (`extractor_hidden` -> `lstm_hidden`, booleans back to 0/1),
-/// and — for v1 — the crc32 lines dropped (they postdate the format).
-void DowngradeManifest(const fs::path& manifest, int version) {
-  std::string text;
-  {
-    std::ifstream in(manifest);
-    text.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-  }
-  std::istringstream in(text);
-  std::ostringstream out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (version < 2 && line.rfind("crc32.", 0) == 0) continue;
-    if (line.rfind("sim2rec_checkpoint ", 0) == 0) {
-      line = "sim2rec_checkpoint " + std::to_string(version);
-    } else if (line.rfind("extractor_hidden ", 0) == 0) {
-      line = "lstm_hidden " + line.substr(std::strlen("extractor_hidden "));
-    } else {
-      for (const char* key :
-           {"use_extractor ", "normalize_observations ", "has_sadae "}) {
-        if (line.rfind(key, 0) != 0) continue;
-        const std::string value = line.substr(std::strlen(key));
-        line = std::string(key) + (value == "true" ? "1" : "0");
-        break;
-      }
-    }
-    out << line << '\n';
-  }
-  std::ofstream file(manifest);
-  file << out.str();
-}
-
-TEST(Checkpoint, LegacyVersion1And2BundlesLoadAsMigrated) {
-  for (int version : {1, 2}) {
-    ScratchDir dir("ckpt_legacy_v" + std::to_string(version));
-    Rng rng(103);
-    sadae::Sadae sadae_model(TinySadaeConfig(), rng);
-    core::ContextAgent agent(TinySim2RecConfig(), &sadae_model, rng);
-    ASSERT_TRUE(SaveCheckpoint(dir.str(), agent));
-    DowngradeManifest(dir.path() / "manifest.txt", version);
-
-    // Readers accept every version up to their own: the migration shim
-    // carries renamed/retyped keys forward, integrity checks are
-    // skipped where the format predates them (v1), and the distinct
-    // kMigrated status tells operators the bundle is old but usable.
-    LoadResult result = LoadCheckpointEx(dir.str());
-    EXPECT_EQ(result.status, LoadStatus::kMigrated) << "v" << version;
-    ASSERT_NE(result.policy, nullptr);
-    EXPECT_TRUE(LoadSucceeded(result.status));
-
-    // The restored legacy agent serves identically to the original.
-    core::ContextAgent::ServeBatch sa = agent.InitialServeBatch(2);
-    core::ContextAgent::ServeBatch sb =
-        result.policy->agent->InitialServeBatch(2);
-    Rng obs_rng(104);
-    const nn::Tensor obs = nn::Tensor::Randn(2, envs::kLtsObsDim, obs_rng);
-    EXPECT_TRUE(
-        BitwiseEqual(agent.ServeStep(obs, &sa).actions,
-                     result.policy->agent->ServeStep(obs, &sb).actions));
-  }
-}
-
-TEST(ManifestMigration, StatusMatrixForLegacyManifests) {
-  Rng rng(105);
-  sadae::Sadae sadae_model(TinySadaeConfig(), rng);
-  core::ContextAgent agent(TinySim2RecConfig(), &sadae_model, rng);
-
-  // A current-schema manifest passes through untouched: kOk, zero
-  // rewrites (migration is idempotent by construction).
-  {
-    ScratchDir dir("mig_current");
-    ASSERT_TRUE(SaveCheckpoint(dir.str(), agent));
-    EXPECT_EQ(LoadCheckpointEx(dir.str()).status, LoadStatus::kOk);
-  }
-
-  // Legacy keys under a legacy version line: migrated, not corrupt.
-  {
-    ScratchDir dir("mig_v2");
-    ASSERT_TRUE(SaveCheckpoint(dir.str(), agent));
-    DowngradeManifest(dir.path() / "manifest.txt", 2);
-    EXPECT_EQ(LoadCheckpointEx(dir.str()).status, LoadStatus::kMigrated);
-  }
-
-  // Both spellings of a renamed key present: unresolvable, kCorrupt.
-  {
-    ScratchDir dir("mig_both");
-    ASSERT_TRUE(SaveCheckpoint(dir.str(), agent));
-    DowngradeManifest(dir.path() / "manifest.txt", 2);
-    std::ofstream out(dir.path() / "manifest.txt", std::ios::app);
-    out << "extractor_hidden 8\n";
-    out.close();
-    EXPECT_EQ(LoadCheckpointEx(dir.str()).status, LoadStatus::kCorrupt);
-  }
-
-  // A v<=2 boolean flag that is neither 0 nor 1: the version line lies,
-  // kCorrupt (never a silently-guessed config).
-  {
-    ScratchDir dir("mig_badflag");
-    ASSERT_TRUE(SaveCheckpoint(dir.str(), agent));
-    DowngradeManifest(dir.path() / "manifest.txt", 2);
-    std::string text;
-    {
-      std::ifstream in(dir.path() / "manifest.txt");
-      text.assign(std::istreambuf_iterator<char>(in),
-                  std::istreambuf_iterator<char>());
-    }
-    const size_t at = text.find("use_extractor 1");
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, std::strlen("use_extractor 1"), "use_extractor 7");
-    std::ofstream out(dir.path() / "manifest.txt");
-    out << text;
-    out.close();
-    EXPECT_EQ(LoadCheckpointEx(dir.str()).status, LoadStatus::kCorrupt);
-  }
-
-  // An anachronistic v3 spelling under a v2 version line is equally a
-  // lie: the retype table only accepts 0/1 for legacy flags.
-  {
-    ScratchDir dir("mig_anachronism");
-    ASSERT_TRUE(SaveCheckpoint(dir.str(), agent));
-    DowngradeManifest(dir.path() / "manifest.txt", 2);
-    std::string text;
-    {
-      std::ifstream in(dir.path() / "manifest.txt");
-      text.assign(std::istreambuf_iterator<char>(in),
-                  std::istreambuf_iterator<char>());
-    }
-    const size_t at = text.find("has_sadae 1");
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, std::strlen("has_sadae 1"), "has_sadae true");
-    std::ofstream out(dir.path() / "manifest.txt");
-    out << text;
-    out.close();
-    EXPECT_EQ(LoadCheckpointEx(dir.str()).status, LoadStatus::kCorrupt);
-  }
-
-  // Direct unit check of the table: the matrix of statuses above plus
-  // the MigrateManifest diagnostics (4 rewrites: 1 rename + 3 retypes).
-  {
-    ManifestMap manifest = {{"lstm_hidden", {"8"}},
-                            {"use_extractor", {"1"}},
-                            {"normalize_observations", {"0"}},
-                            {"has_sadae", {"1"}}};
-    ManifestMigration migration;
-    ASSERT_TRUE(MigrateManifest(2, &manifest, &migration));
-    EXPECT_EQ(migration.applied, 4);
-    EXPECT_EQ(manifest.count("lstm_hidden"), 0u);
-    EXPECT_EQ(manifest.at("extractor_hidden")[0], "8");
-    EXPECT_EQ(manifest.at("use_extractor")[0], "true");
-    EXPECT_EQ(manifest.at("normalize_observations")[0], "false");
-
-    // The same keys under a v3 version line are NOT rewritten — the
-    // table is versioned, so current manifests never match it.
-    ManifestMap current = {{"use_extractor", {"true"}}};
-    ASSERT_TRUE(MigrateManifest(3, &current, &migration));
-    EXPECT_EQ(migration.applied, 0);
-    EXPECT_EQ(current.at("use_extractor")[0], "true");
-  }
-}
-
 TEST(Checkpoint, GenerationRoundTripAndInfoPeek) {
   ScratchDir dir("ckpt_generation");
   Rng rng(107);
@@ -1255,7 +1106,7 @@ TEST(Checkpoint, GenerationRoundTripAndInfoPeek) {
   ASSERT_TRUE(ReadCheckpointInfo(dir.str(), &info));
   EXPECT_EQ(info.generation, 42u);
   LoadResult result = LoadCheckpointEx(dir.str());
-  ASSERT_TRUE(LoadSucceeded(result.status));
+  ASSERT_TRUE(result.status == LoadStatus::kOk);
   EXPECT_EQ(result.policy->metadata.generation, 42u);
 
   // The peek is cheap and safe: no manifest, no info.
@@ -1344,7 +1195,7 @@ TEST(ServeRouter, HotSwapToIdenticalWeightsIsBitwiseInvisible) {
   // checkpoint path exactly as the watcher would restore it.
   ASSERT_TRUE(SaveCheckpoint(dir.str(), agent));
   LoadResult clone = LoadCheckpointEx(dir.str());
-  ASSERT_TRUE(LoadSucceeded(clone.status));
+  ASSERT_TRUE(clone.status == LoadStatus::kOk);
 
   ServeRouter swapped(&agent, PlainRouterConfig(), /*initial_shards=*/2);
   ServeRouter control(&agent, PlainRouterConfig(), /*initial_shards=*/2);
@@ -1423,7 +1274,7 @@ TEST(ServeRouter, HotSwapDuringReshardDrainKeepsEverySession) {
   core::ContextAgent agent(TinySim2RecConfig(), &sadae_model, rng);
   ASSERT_TRUE(SaveCheckpoint(dir.str(), agent));
   LoadResult clone = LoadCheckpointEx(dir.str());
-  ASSERT_TRUE(LoadSucceeded(clone.status));
+  ASSERT_TRUE(clone.status == LoadStatus::kOk);
 
   ServeRouterConfig config;  // micro-batching ON: batcher threads live
   config.shard.max_queue_delay_us = 50;
@@ -1558,6 +1409,18 @@ TEST(CheckpointWatcher, SwapsValidatesAndRollsBackTyped) {
     EXPECT_EQ(registry.GetGauge("serve.checkpoint_generation")->value(), 4.0);
   }
 
+  // A generation 5 in another manifest version (here v2) is refused as
+  // kVersionUnsupported, never migrated: generation 4 keeps serving.
+  {
+    const std::string dir = SaveGeneration(base.path(), agent_a, 5);
+    SetManifestVersion(fs::path(dir) / "manifest.txt", 2);
+  }
+  result = watcher.PollOnce();
+  EXPECT_EQ(result.outcome, SwapOutcome::kLoadFailed);
+  EXPECT_EQ(result.load_status, LoadStatus::kVersionUnsupported);
+  EXPECT_EQ(watcher.generation(), 4u);
+  router.Act(1, ObsFor(1, 1));  // serving was never disturbed
+
   // Re-exporting a *valid* bundle over the rejected gen-000002 does
   // not resurrect it — a rejected (dir, generation) is never retried;
   // the fix is always a fresh, higher generation. And generations below
@@ -1568,7 +1431,7 @@ TEST(CheckpointWatcher, SwapsValidatesAndRollsBackTyped) {
 
   const CheckpointWatcher::Stats stats = watcher.stats();
   EXPECT_EQ(stats.swaps, 2);
-  EXPECT_EQ(stats.rejects, 2);
+  EXPECT_EQ(stats.rejects, 3);
   EXPECT_EQ(stats.generation, 4u);
 }
 

@@ -26,7 +26,10 @@
 #include "transport/policy_server.h"
 #include "transport/socket.h"
 #include "transport/wire.h"
+#include "util/bytes.h"
+#include "util/crc32.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace sim2rec {
 namespace transport {
@@ -109,12 +112,11 @@ PolicyClientConfig ClientFor(const PolicyServer& server) {
   return config;
 }
 
-/// Reads one whole frame off a raw connection (test-side peer).
-/// Version-aware: v3+ frames carry the 8-byte request id, surfaced via
-/// header->request_id.
+/// Reads one whole frame off a raw connection (test-side peer); the
+/// request id is surfaced via header->request_id.
 bool ReadFrame(TcpConnection& conn, FrameHeader* header,
                std::string* payload, int timeout_ms = 2000) {
-  uint8_t bytes[kMaxFrameHeaderBytes];
+  uint8_t bytes[kFrameHeaderBytes];
   if (conn.ReadFull(bytes, kFrameHeaderBytes, timeout_ms) != IoStatus::kOk) {
     return false;
   }
@@ -122,50 +124,24 @@ bool ReadFrame(TcpConnection& conn, FrameHeader* header,
       HeaderStatus::kOk) {
     return false;
   }
-  const size_t header_len = FrameHeaderBytesFor(header->version);
-  if (header_len > kFrameHeaderBytes) {
-    if (conn.ReadFull(bytes + kFrameHeaderBytes,
-                      header_len - kFrameHeaderBytes,
-                      timeout_ms) != IoStatus::kOk) {
-      return false;
-    }
-    DecodeRequestId(bytes + kFrameHeaderBytes, header);
-  }
+  DecodeRequestId(bytes + kFramePrefixBytes, header);
   payload->assign(header->payload_len, '\0');
   if (header->payload_len > 0 &&
       conn.ReadFull(payload->data(), payload->size(), timeout_ms) !=
           IoStatus::kOk) {
     return false;
   }
-  return FrameCrcMatches(bytes, header_len, *payload);
+  return FrameCrcMatches(bytes, *payload);
 }
 
 bool WriteAll(TcpConnection& conn, const std::string& bytes) {
   return conn.WriteFull(bytes.data(), bytes.size(), 2000) == IoStatus::kOk;
 }
 
-/// Answers the client's connect-handshake ping (a v2 frame every
-/// server understands) on a raw test-server connection, advertising
-/// `advertise` as the server's protocol version. Every fake server
-/// below starts with this — a PolicyClient will not send requests
-/// until the handshake resolves.
-bool AnswerHandshake(TcpConnection& conn, uint8_t advertise) {
-  FrameHeader header;
-  std::string payload;
-  if (!ReadFrame(conn, &header, &payload)) return false;
-  if (header.type != MessageType::kPingRequest) return false;
-  uint64_t nonce = 0;
-  if (!DecodeU64(payload, &nonce)) return false;
-  return WriteAll(conn, EncodeFrame(MessageType::kPingReply,
-                                    EncodePingReply(nonce, advertise),
-                                    /*version=*/2));
-}
-
 /// One Act request as a raw test server saw it on the wire.
 struct RawAct {
   uint64_t request_id = 0;
   uint64_t user_id = 0;
-  uint8_t version = 0;
 };
 
 bool ReadActRequest(TcpConnection& conn, RawAct* out) {
@@ -175,26 +151,32 @@ bool ReadActRequest(TcpConnection& conn, RawAct* out) {
   if (header.type != MessageType::kActRequest) return false;
   uint64_t trace_id = 0;
   nn::Tensor obs;
-  if (!DecodeActRequest(payload, header.version, &out->user_id, &trace_id,
-                        &obs)) {
+  if (!DecodeActRequest(payload, &out->user_id, &trace_id, &obs)) {
     return false;
   }
   out->request_id = header.request_id;
-  out->version = header.version;
   return true;
 }
 
 /// A reply frame whose action encodes the user id, so a test can tell
 /// which submission a reply was routed to.
-std::string ActReplyFrame(uint64_t user_id, uint64_t request_id,
-                          uint8_t version = kProtocolVersion) {
+std::string ActReplyFrame(uint64_t user_id, uint64_t request_id) {
   serve::ServeReply reply;
   reply.action = nn::Tensor(1, 1);
   reply.action(0, 0) = static_cast<double>(user_id);
   reply.value = static_cast<double>(user_id) / 3.0;
   reply.batch_size = 1;
-  return EncodeFrame(MessageType::kActReply, EncodeActReply(reply), version,
+  return EncodeFrame(MessageType::kActReply, EncodeActReply(reply),
                      /*flags=*/0, request_id);
+}
+
+/// An empty-payload version-1 frame exactly as a v1 peer sent it: the
+/// 16-byte header with no request id, CRC over header bytes [0, 12).
+std::string BareV1Frame(MessageType type) {
+  std::string frame = EncodeFrame(type, std::string()).substr(0, 12);
+  frame[4] = 1;
+  AppendU32(&frame, Crc32(frame.data(), frame.size()));
+  return frame;
 }
 
 // ---------------------------------------------------------------------------
@@ -203,55 +185,73 @@ std::string ActReplyFrame(uint64_t user_id, uint64_t request_id,
 
 TEST(Wire, FrameRoundTrip) {
   const std::string payload = EncodeU64(42);
-  // Default frames are v3: 24-byte header carrying the request id.
+  // A 24-byte header carrying the request id, then the payload.
   const std::string frame = EncodeFrame(MessageType::kPingRequest, payload,
-                                        kProtocolVersion, /*flags=*/0,
+                                        /*flags=*/0,
                                         /*request_id=*/0x1122334455667788ULL);
-  ASSERT_EQ(frame.size(), kMaxFrameHeaderBytes + payload.size());
+  ASSERT_EQ(frame.size(), kFrameHeaderBytes + payload.size());
+  EXPECT_EQ(static_cast<uint8_t>(frame[4]), kProtocolVersion);
   const uint8_t* bytes = reinterpret_cast<const uint8_t*>(frame.data());
   FrameHeader header;
   ASSERT_EQ(DecodeHeader(bytes, kDefaultMaxFrameBytes, &header),
             HeaderStatus::kOk);
   EXPECT_EQ(header.type, MessageType::kPingRequest);
-  EXPECT_EQ(header.version, kProtocolVersion);
   EXPECT_EQ(header.payload_len, payload.size());
-  ASSERT_EQ(FrameHeaderBytesFor(header.version), kMaxFrameHeaderBytes);
-  DecodeRequestId(bytes + kFrameHeaderBytes, &header);
+  DecodeRequestId(bytes + kFramePrefixBytes, &header);
   EXPECT_EQ(header.request_id, 0x1122334455667788ULL);
-  EXPECT_TRUE(FrameCrcMatches(bytes, kMaxFrameHeaderBytes, payload));
+  EXPECT_TRUE(FrameCrcMatches(bytes, payload));
 }
 
-TEST(Wire, V2FrameHasNoRequestIdField) {
-  const std::string payload = EncodeU64(7);
-  // Pre-v3 frames keep the 16-byte header; the request-id argument is
-  // ignored because the layout has no field for it.
-  const std::string frame = EncodeFrame(MessageType::kPingRequest, payload,
-                                        /*version=*/2, /*flags=*/0,
-                                        /*request_id=*/99);
-  ASSERT_EQ(frame.size(), kFrameHeaderBytes + payload.size());
-  FrameHeader header;
-  ASSERT_EQ(DecodeHeader(reinterpret_cast<const uint8_t*>(frame.data()),
-                         kDefaultMaxFrameBytes, &header),
-            HeaderStatus::kOk);
-  EXPECT_EQ(header.version, 2);
-  EXPECT_EQ(header.request_id, 0u);
-  EXPECT_EQ(FrameHeaderBytesFor(header.version), kFrameHeaderBytes);
-  EXPECT_TRUE(FrameCrcMatches(
-      reinterpret_cast<const uint8_t*>(frame.data()), kFrameHeaderBytes,
-      payload));
+// The worked example in docs/PROTOCOL.md ("Worked example: one `Act`
+// round trip"), copied byte for byte: the documented inputs must still
+// encode to exactly these frames.
+constexpr const char* kDocActRequestDump = R"dump(
+00000000  53 32 52 54 03 01 00 00  30 00 00 00 e0 d2 78 2b  |S2RT....0.....x+|
+00000010  03 00 00 00 00 00 00 00  2a 00 00 00 00 00 00 00  |........*.......|
+00000020  07 00 00 00 00 00 00 00  01 00 00 00 03 00 00 00  |................|
+00000030  00 00 00 00 00 00 e0 3f  00 00 00 00 00 00 f4 bf  |.......?........|
+00000040  00 00 00 00 00 00 00 40                           |.......@|
+)dump";
+
+constexpr const char* kDocActReplyDump = R"dump(
+00000000  53 32 52 54 03 02 00 00  1d 00 00 00 f3 f3 dd 28  |S2RT...........(|
+00000010  03 00 00 00 00 00 00 00  01 00 00 00 01 00 00 00  |................|
+00000020  00 00 00 00 00 00 e8 3f  00 00 00 00 00 00 00 29  |.......?.......)|
+00000030  40 01 00 00 00                                    |@....|
+)dump";
+
+TEST(Wire, ActRoundTripMatchesProtocolDocHexDumps) {
+  nn::Tensor obs(1, 3);
+  obs(0, 0) = 0.5;
+  obs(0, 1) = -1.25;
+  obs(0, 2) = 2.0;
+  const std::string request =
+      EncodeFrame(MessageType::kActRequest,
+                  EncodeActRequest(42, obs, /*trace_id=*/7), /*flags=*/0,
+                  /*request_id=*/3);
+  EXPECT_EQ("\n" + HexDump(request), kDocActRequestDump);
+
+  serve::ServeReply reply;
+  reply.action = nn::Tensor(1, 1);
+  reply.action(0, 0) = 0.75;
+  reply.exec_clamped = false;
+  reply.value = 12.5;
+  reply.batch_size = 1;
+  const std::string reply_frame =
+      EncodeFrame(MessageType::kActReply, EncodeActReply(reply),
+                  /*flags=*/0, /*request_id=*/3);
+  EXPECT_EQ("\n" + HexDump(reply_frame), kDocActReplyDump);
 }
 
 TEST(Wire, RequestIdIsCrcCovered) {
   const std::string payload = EncodeU64(1);
   std::string frame = EncodeFrame(MessageType::kActRequest, payload,
-                                  kProtocolVersion, /*flags=*/0,
-                                  /*request_id=*/5);
+                                  /*flags=*/0, /*request_id=*/5);
   // Flip one bit inside the id field: the CRC must catch it, otherwise
   // a corrupted id would route a reply to the wrong caller.
-  frame[kFrameHeaderBytes + 3] ^= 0x04;
+  frame[kFramePrefixBytes + 3] ^= 0x04;
   EXPECT_FALSE(FrameCrcMatches(
-      reinterpret_cast<const uint8_t*>(frame.data()), kMaxFrameHeaderBytes,
-      payload));
+      reinterpret_cast<const uint8_t*>(frame.data()), payload));
 }
 
 TEST(Wire, HeaderRejectsBadMagicAndOversizedLength) {
@@ -264,10 +264,25 @@ TEST(Wire, HeaderRejectsBadMagicAndOversizedLength) {
                          kDefaultMaxFrameBytes, &header),
             HeaderStatus::kBadMagic);
 
-  // Frame valid but bigger than this side's bound.
-  EXPECT_EQ(DecodeHeader(reinterpret_cast<const uint8_t*>(frame.data()),
-                         kFrameHeaderBytes + 4, &header),
+  // The bound counts the whole frame, header included: a frame of
+  // exactly max_frame_bytes passes, one byte over is refused.
+  const uint8_t* bytes = reinterpret_cast<const uint8_t*>(frame.data());
+  EXPECT_EQ(DecodeHeader(bytes, frame.size(), &header), HeaderStatus::kOk);
+  EXPECT_EQ(DecodeHeader(bytes, frame.size() - 1, &header),
             HeaderStatus::kTooLarge);
+  EXPECT_EQ(DecodeHeader(bytes, kFrameHeaderBytes + 4, &header),
+            HeaderStatus::kTooLarge);
+
+  // Any version byte but 3 is refused before the length is looked at:
+  // another version's length field need not mean what ours does.
+  for (const uint8_t version : {0, 1, 2, 4, 255}) {
+    std::string other = frame;
+    other[4] = static_cast<char>(version);
+    EXPECT_EQ(DecodeHeader(reinterpret_cast<const uint8_t*>(other.data()),
+                           frame.size() - 1, &header),
+              HeaderStatus::kUnsupportedVersion)
+        << "version=" << static_cast<int>(version);
+  }
 }
 
 TEST(Wire, CrcCatchesBitFlips) {
@@ -276,13 +291,11 @@ TEST(Wire, CrcCatchesBitFlips) {
   std::string flipped_payload = payload;
   flipped_payload[2] ^= 0x40;
   EXPECT_FALSE(FrameCrcMatches(
-      reinterpret_cast<const uint8_t*>(frame.data()), kMaxFrameHeaderBytes,
-      flipped_payload));
+      reinterpret_cast<const uint8_t*>(frame.data()), flipped_payload));
   // A flipped header byte fails too.
   frame[5] ^= 0x01;  // type byte
   EXPECT_FALSE(FrameCrcMatches(
-      reinterpret_cast<const uint8_t*>(frame.data()), kMaxFrameHeaderBytes,
-      payload));
+      reinterpret_cast<const uint8_t*>(frame.data()), payload));
 }
 
 TEST(Wire, UnknownTypeSurvivesHeaderDecode) {
@@ -305,32 +318,10 @@ TEST(Wire, ActRequestRoundTripIsBitwise) {
   uint64_t user_id = 0;
   uint64_t trace_id = 0;
   nn::Tensor decoded;
-  ASSERT_TRUE(DecodeActRequest(payload, kProtocolVersion, &user_id,
-                               &trace_id, &decoded));
+  ASSERT_TRUE(DecodeActRequest(payload, &user_id, &trace_id, &decoded));
   EXPECT_EQ(user_id, 0xDEADBEEFCAFEF00D);
   EXPECT_EQ(trace_id, 0x1234F00Du);
   EXPECT_TRUE(BitwiseEqual(obs, decoded));
-}
-
-TEST(Wire, ActRequestV1LayoutStillDecodes) {
-  // A v1 peer encodes no trace id; a v2 decoder handed the request's
-  // version byte must read the old layout and report trace id 0.
-  const nn::Tensor obs = ObsFor(2, 3);
-  const std::string v1 = EncodeActRequestV1(9, obs);
-  uint64_t user_id = 0;
-  uint64_t trace_id = 0xFF;  // must be overwritten to 0
-  nn::Tensor decoded;
-  ASSERT_TRUE(DecodeActRequest(v1, /*version=*/1, &user_id, &trace_id,
-                               &decoded));
-  EXPECT_EQ(user_id, 9u);
-  EXPECT_EQ(trace_id, 0u);
-  EXPECT_TRUE(BitwiseEqual(obs, decoded));
-  // The v2 layout is the v1 layout plus the trace-id field; a v1
-  // payload misread as v2 (or vice versa) must fail, not alias.
-  EXPECT_FALSE(DecodeActRequest(v1, kProtocolVersion, &user_id, &trace_id,
-                                &decoded));
-  EXPECT_FALSE(DecodeActRequest(EncodeActRequest(9, obs, 1), /*version=*/1,
-                                &user_id, &trace_id, &decoded));
 }
 
 TEST(Wire, ActReplyRoundTripIsBitwise) {
@@ -361,12 +352,11 @@ TEST(Wire, DecodersRejectTruncatedAndTrailingBytes) {
   uint64_t trace_id = 0;
   nn::Tensor decoded;
   for (size_t cut = 0; cut < act.size(); ++cut) {
-    EXPECT_FALSE(DecodeActRequest(act.substr(0, cut), kProtocolVersion,
-                                  &user_id, &trace_id, &decoded))
+    EXPECT_FALSE(
+        DecodeActRequest(act.substr(0, cut), &user_id, &trace_id, &decoded))
         << "cut=" << cut;
   }
-  EXPECT_FALSE(DecodeActRequest(act + "x", kProtocolVersion, &user_id,
-                                &trace_id, &decoded));
+  EXPECT_FALSE(DecodeActRequest(act + "x", &user_id, &trace_id, &decoded));
 
   serve::ServeReply reply;
   reply.action = obs;
@@ -392,15 +382,13 @@ TEST(Wire, ActRequestRejectsAbsurdDimensions) {
   // Hand-build a payload whose tensor claims 2^31 rows: the decoder
   // must refuse before allocating, not die trying.
   std::string payload = EncodeActRequest(1, ObsFor(0, 0));
-  // rows field, little-endian (after user id + trace id in the v2
-  // layout).
+  // rows field, little-endian (after user id + trace id).
   const uint32_t huge = 0x80000000u;
   std::memcpy(payload.data() + 16, &huge, 4);
   uint64_t user_id = 0;
   uint64_t trace_id = 0;
   nn::Tensor decoded;
-  EXPECT_FALSE(DecodeActRequest(payload, kProtocolVersion, &user_id,
-                                &trace_id, &decoded));
+  EXPECT_FALSE(DecodeActRequest(payload, &user_id, &trace_id, &decoded));
 }
 
 // ---------------------------------------------------------------------------
@@ -613,7 +601,7 @@ TEST_F(MalformedInputTest, OversizedLengthGetsErrorThenClose) {
   std::string frame = EncodeFrame(MessageType::kActRequest, std::string());
   const uint32_t huge = 1u << 30;
   std::memcpy(frame.data() + 8, &huge, 4);
-  ASSERT_TRUE(WriteAll(conn, frame.substr(0, kFrameHeaderBytes)));
+  ASSERT_TRUE(WriteAll(conn, frame.substr(0, kFramePrefixBytes)));
 
   FrameHeader header;
   std::string payload;
@@ -677,25 +665,42 @@ TEST_F(MalformedInputTest, UnknownTypeKeepsConnectionUsable) {
 }
 
 TEST_F(MalformedInputTest, FutureVersionIsUnsupportedNotCorrupt) {
-  TcpConnection conn = Dial();
-  ASSERT_TRUE(WriteAll(
-      conn, EncodeFrame(MessageType::kPingRequest, EncodeU64(1),
-                        /*version=*/kProtocolVersion + 1)));
+  // Every version byte but 3 — older, newer or nonsense — is refused
+  // from the 16-byte prefix alone. Another version's header length is
+  // unknown, so the server answers kUnsupportedVersion and hangs up
+  // rather than waiting (up to the 1000 ms request timeout) for header
+  // bytes such a frame may never send.
+  std::vector<std::string> frames;
+  for (const uint8_t version : {0, 1, 2, 4, 255}) {
+    std::string frame = EncodeFrame(MessageType::kPingRequest, EncodeU64(1));
+    frame[4] = static_cast<char>(version);
+    frames.push_back(frame);
+  }
+  frames.push_back(BareV1Frame(MessageType::kMetricsRequest));
 
-  FrameHeader header;
-  std::string payload;
-  ASSERT_TRUE(ReadFrame(conn, &header, &payload));
-  ASSERT_EQ(header.type, MessageType::kError);
-  WireError code;
-  std::string message;
-  ASSERT_TRUE(DecodeError(payload, &code, &message));
-  EXPECT_EQ(code, WireError::kUnsupportedVersion);
-
-  // The connection survives a version miss too.
-  ASSERT_TRUE(
-      WriteAll(conn, EncodeFrame(MessageType::kPingRequest, EncodeU64(2))));
-  ASSERT_TRUE(ReadFrame(conn, &header, &payload));
-  EXPECT_EQ(header.type, MessageType::kPingReply);
+  for (const std::string& frame : frames) {
+    SCOPED_TRACE("version=" +
+                 std::to_string(static_cast<uint8_t>(frame[4])) +
+                 " bytes=" + std::to_string(frame.size()));
+    const auto start = std::chrono::steady_clock::now();
+    TcpConnection conn = Dial();
+    ASSERT_TRUE(WriteAll(conn, frame));
+    FrameHeader header;
+    std::string payload;
+    ASSERT_TRUE(ReadFrame(conn, &header, &payload));
+    ASSERT_EQ(header.type, MessageType::kError);
+    WireError code;
+    std::string message;
+    ASSERT_TRUE(DecodeError(payload, &code, &message));
+    EXPECT_EQ(code, WireError::kUnsupportedVersion);
+    uint8_t byte;
+    EXPECT_EQ(conn.ReadFull(&byte, 1, 2000), IoStatus::kClosed);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(500));
+    ExpectServerStillUp();
+  }
+  // Refused as another version, never counted as corruption.
+  EXPECT_EQ(server_->stats().malformed_frames, 0);
 }
 
 TEST_F(MalformedInputTest, UndecodablePayloadIsTypedBadPayload) {
@@ -738,32 +743,28 @@ TEST(TransportClient, DeadPortIsConnectFailed) {
   EXPECT_EQ(client.Ping(), TransportStatus::kConnectFailed);
 }
 
-TEST(TransportClient, GarbageReplyIsMalformedAndHandshakeDropIsConnectFailed) {
+TEST(TransportClient, GarbageOrOtherVersionReplyIsMalformedAndHangupIsClosed) {
   TcpListener listener;
   ASSERT_TRUE(listener.Listen("127.0.0.1", 0, 4));
-  std::atomic<int> mode{0};  // 0: garbage reply, 1: close without reply
+  // How the fake server answers the one request on each connection.
+  enum Mode { kGarbage, kOtherVersion, kHangUp };
+  std::atomic<int> mode{kGarbage};
   std::thread fake_server([&listener, &mode] {
-    for (int i = 0; i < 2; ++i) {
+    for (int i = 0; i < 3; ++i) {
       IoStatus status;
       TcpConnection conn = listener.Accept(5000, &status);
       if (!conn.valid()) return;
-      uint8_t header[kFrameHeaderBytes];
-      if (conn.ReadFull(header, kFrameHeaderBytes, 2000) != IoStatus::kOk) {
-        continue;
-      }
-      FrameHeader decoded;
-      if (DecodeHeader(header, kDefaultMaxFrameBytes, &decoded) ==
-          HeaderStatus::kOk) {
-        std::string payload(decoded.payload_len, '\0');
-        if (decoded.payload_len > 0) {
-          conn.ReadFull(payload.data(), payload.size(), 2000);
-        }
-      }
-      if (mode.load() == 0) {
+      RawAct act;
+      if (!ReadActRequest(conn, &act)) continue;
+      if (mode.load() == kGarbage) {
         const std::string garbage(kFrameHeaderBytes + 8, 'G');
         conn.WriteFull(garbage.data(), garbage.size(), 2000);
+      } else if (mode.load() == kOtherVersion) {
+        std::string reply = ActReplyFrame(act.user_id, act.request_id);
+        reply[4] = 2;
+        conn.WriteFull(reply.data(), reply.size(), 2000);
       }
-      // mode 1: just close
+      // kHangUp: just close
     }
   });
 
@@ -775,13 +776,18 @@ TEST(TransportClient, GarbageReplyIsMalformedAndHandshakeDropIsConnectFailed) {
   EXPECT_EQ(client.TryAct(1, ObsFor(1, 0), &reply),
             TransportStatus::kMalformedReply);
 
-  // The server hangs up while the client is still mid-handshake (no
-  // request in flight), so this surfaces as a retryable connect
-  // failure, not kClosed.
-  mode.store(1);
+  // A reply of another version: its header length is unknown, so the
+  // stream cannot be followed and the request fails typed.
+  mode.store(kOtherVersion);
   EXPECT_EQ(client.TryAct(2, ObsFor(2, 0), &reply),
-            TransportStatus::kConnectFailed);
-  // Join before Close: the fake server exits on its own after two
+            TransportStatus::kMalformedReply);
+
+  // The server hangs up with the request in flight: kClosed, because
+  // the request may or may not have been applied.
+  mode.store(kHangUp);
+  EXPECT_EQ(client.TryAct(3, ObsFor(3, 0), &reply),
+            TransportStatus::kClosed);
+  // Join before Close: the fake server exits on its own after three
   // connections, and closing an fd another thread may still be
   // polling is a race.
   fake_server.join();
@@ -794,9 +800,8 @@ TEST(TransportClient, ReplyBeyondClientBoundIsFrameTooLarge) {
   ASSERT_TRUE(server.Start());
 
   PolicyClientConfig config = ClientFor(server);
-  // Big enough for the handshake ping reply, too small for the echoed
-  // act reply (4 doubles + reply framing).
-  config.limits.max_frame_bytes = kMaxFrameHeaderBytes + 16;
+  // Too small for the echoed act reply (4 doubles + reply framing).
+  config.limits.max_frame_bytes = kFrameHeaderBytes + 16;
   PolicyClient client(config);
   serve::ServeReply reply;
   EXPECT_EQ(client.TryAct(1, ObsFor(1, 0), &reply),
@@ -908,10 +913,9 @@ TEST(TransportFlaky, InjectedDelayTripsClientDeadlineAndClientRecovers) {
   ASSERT_EQ(client.TryAct(1, ObsFor(1, 0), &reply), TransportStatus::kOk);
   const TransportStatus slow = client.TryAct(1, ObsFor(1, 1), &reply);
   EXPECT_EQ(slow, TransportStatus::kTimeout);
-  // Under v3 a deadline miss abandons only that request id: the late
-  // reply is matched by id and dropped, and the SAME connection keeps
-  // serving — no reconnect, unlike the pre-pipelining transport where
-  // the stream could not be re-synchronized.
+  // A deadline miss abandons only that request id: the late reply is
+  // matched by id and dropped, and the SAME connection keeps serving —
+  // no reconnect.
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   ASSERT_EQ(client.TryAct(1, ObsFor(1, 2), &reply), TransportStatus::kOk);
   EXPECT_TRUE(BitwiseEqual(reply.action, ObsFor(1, 2)));
@@ -923,82 +927,8 @@ TEST(TransportFlaky, InjectedDelayTripsClientDeadlineAndClientRecovers) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire version compatibility: a v1 peer still interoperates with a v2
-// server, and replies echo the request's version.
+// Request ids: every reply carries the id of the request it answers.
 // ---------------------------------------------------------------------------
-
-TEST(Transport, V1ActFrameIsServedAndRepliedAtV1) {
-  FakeEchoService service;
-  PolicyServerConfig config;
-  config.num_workers = 1;
-  PolicyServer server(&service, config);
-  ASSERT_TRUE(server.Start());
-
-  TcpConnection conn =
-      TcpConnection::Connect("127.0.0.1", server.port(), 2000);
-  ASSERT_TRUE(conn.valid());
-
-  // Exactly what a pre-trace-id client puts on the wire: the v1 Act
-  // payload layout inside a version-1 frame.
-  const nn::Tensor obs = ObsFor(5, 2);
-  ASSERT_TRUE(WriteAll(
-      conn, EncodeFrame(MessageType::kActRequest, EncodeActRequestV1(5, obs),
-                        /*version=*/1)));
-  FrameHeader header;
-  std::string payload;
-  ASSERT_TRUE(ReadFrame(conn, &header, &payload));
-  EXPECT_EQ(header.type, MessageType::kActReply);
-  // The reply echoes the request's version, so a v1 client never sees
-  // a frame newer than it understands.
-  EXPECT_EQ(header.version, 1);
-  serve::ServeReply reply;
-  ASSERT_TRUE(DecodeActReply(payload, &reply));
-  EXPECT_TRUE(BitwiseEqual(reply.action, obs));
-
-  // A v1 ping answers at v1 too (ping payload still reports the
-  // server's own max version, which is how a client learns it may
-  // upgrade).
-  ASSERT_TRUE(WriteAll(conn, EncodeFrame(MessageType::kPingRequest,
-                                         EncodeU64(3), /*version=*/1)));
-  ASSERT_TRUE(ReadFrame(conn, &header, &payload));
-  EXPECT_EQ(header.type, MessageType::kPingReply);
-  EXPECT_EQ(header.version, 1);
-  uint64_t nonce = 0;
-  uint8_t server_version = 0;
-  ASSERT_TRUE(DecodePingReply(payload, &nonce, &server_version));
-  EXPECT_EQ(nonce, 3u);
-  EXPECT_EQ(server_version, kProtocolVersion);
-  EXPECT_EQ(server.stats().malformed_frames, 0);
-}
-
-TEST(Transport, V2ActFrameIsServedSeriallyAndRepliedAtV2) {
-  FakeEchoService service;
-  PolicyServerConfig config;
-  config.num_workers = 1;
-  PolicyServer server(&service, config);
-  ASSERT_TRUE(server.Start());
-
-  TcpConnection conn =
-      TcpConnection::Connect("127.0.0.1", server.port(), 2000);
-  ASSERT_TRUE(conn.valid());
-
-  // A v2 peer pins the whole exchange at v2: 16-byte headers, no
-  // request ids, replies in request order.
-  const nn::Tensor obs = ObsFor(6, 1);
-  ASSERT_TRUE(WriteAll(
-      conn, EncodeFrame(MessageType::kActRequest, EncodeActRequest(6, obs),
-                        /*version=*/2)));
-  FrameHeader header;
-  std::string payload;
-  ASSERT_TRUE(ReadFrame(conn, &header, &payload));
-  EXPECT_EQ(header.type, MessageType::kActReply);
-  EXPECT_EQ(header.version, 2);
-  EXPECT_EQ(header.request_id, 0u);
-  serve::ServeReply reply;
-  ASSERT_TRUE(DecodeActReply(payload, &reply));
-  EXPECT_TRUE(BitwiseEqual(reply.action, obs));
-  EXPECT_EQ(server.stats().malformed_frames, 0);
-}
 
 TEST(Transport, V3ReplyEchoesTheRequestId) {
   FakeEchoService service;
@@ -1013,19 +943,17 @@ TEST(Transport, V3ReplyEchoesTheRequestId) {
   constexpr uint64_t kId = 0x7777AAAA5555CCCCULL;
   ASSERT_TRUE(WriteAll(
       conn, EncodeFrame(MessageType::kActRequest, EncodeActRequest(7, obs),
-                        kProtocolVersion, /*flags=*/0, kId)));
+                        /*flags=*/0, kId)));
   FrameHeader header;
   std::string payload;
   ASSERT_TRUE(ReadFrame(conn, &header, &payload));
   EXPECT_EQ(header.type, MessageType::kActReply);
-  EXPECT_EQ(header.version, kProtocolVersion);
-  EXPECT_EQ(header.request_id, kId);  // the whole point of v3
+  EXPECT_EQ(header.request_id, kId);  // the multiplexing key
 
   // Typed error replies echo the id too, so a pipelined client can
   // fail exactly the offending request.
   ASSERT_TRUE(WriteAll(conn, EncodeFrame(MessageType::kActRequest, "junk",
-                                         kProtocolVersion, /*flags=*/0,
-                                         /*request_id=*/99)));
+                                         /*flags=*/0, /*request_id=*/99)));
   ASSERT_TRUE(ReadFrame(conn, &header, &payload));
   EXPECT_EQ(header.type, MessageType::kError);
   EXPECT_EQ(header.request_id, 99u);
@@ -1061,8 +989,6 @@ TEST(TransportAsync, PipelinedActsThroughRealServerAllComplete) {
         << "u=" << u;
     EXPECT_EQ(results[u].reply.exec_clamped, (u % 2) == 1);
   }
-  EXPECT_EQ(client.stats().negotiated_version, kProtocolVersion);
-  EXPECT_EQ(client.stats().server_version, kProtocolVersion);
   EXPECT_GE(server.stats().dispatched_requests, kDepth);
   EXPECT_EQ(client.stats().reconnects, 1);  // one connection carried all 8
 }
@@ -1074,12 +1000,10 @@ TEST(TransportAsync, OutOfOrderRepliesRouteByRequestId) {
     IoStatus status;
     TcpConnection conn = listener.Accept(5000, &status);
     if (!conn.valid()) return;
-    if (!AnswerHandshake(conn, kProtocolVersion)) return;
     RawAct first, second;
     if (!ReadActRequest(conn, &first) || !ReadActRequest(conn, &second)) {
       return;
     }
-    EXPECT_EQ(first.version, kProtocolVersion);
     EXPECT_NE(first.request_id, second.request_id);
     // Answer the SECOND submission first: the client must route by id,
     // not arrival order.
@@ -1109,7 +1033,6 @@ TEST(TransportAsync, DuplicateReplyIdPoisonsTheConnection) {
     IoStatus status;
     TcpConnection conn = listener.Accept(5000, &status);
     if (!conn.valid()) return;
-    if (!AnswerHandshake(conn, kProtocolVersion)) return;
     RawAct first, second;
     if (!ReadActRequest(conn, &first) || !ReadActRequest(conn, &second)) {
       return;
@@ -1145,7 +1068,6 @@ TEST(TransportAsync, ReplyToUnknownIdPoisonsTheConnection) {
     IoStatus status;
     TcpConnection conn = listener.Accept(5000, &status);
     if (!conn.valid()) return;
-    if (!AnswerHandshake(conn, kProtocolVersion)) return;
     RawAct act;
     if (!ReadActRequest(conn, &act)) return;
     WriteAll(conn, ActReplyFrame(act.user_id, act.request_id ^ 0x5A5AULL));
@@ -1172,7 +1094,6 @@ TEST(TransportAsync, CrcFlipMidPipelineFailsEverythingInFlight) {
     IoStatus status;
     TcpConnection conn = listener.Accept(5000, &status);
     if (!conn.valid()) return;
-    if (!AnswerHandshake(conn, kProtocolVersion)) return;
     RawAct acts[3];
     for (RawAct& act : acts) {
       if (!ReadActRequest(conn, &act)) return;
@@ -1214,7 +1135,6 @@ TEST(TransportAsync, DisconnectWithEightInFlightFailsThemClosed) {
     IoStatus status;
     TcpConnection conn = listener.Accept(5000, &status);
     if (!conn.valid()) return;
-    if (!AnswerHandshake(conn, kProtocolVersion)) return;
     RawAct acts[8];
     for (RawAct& act : acts) {
       if (!ReadActRequest(conn, &act)) return;
@@ -1244,53 +1164,6 @@ TEST(TransportAsync, DisconnectWithEightInFlightFailsThemClosed) {
   EXPECT_EQ(client.stats().reconnects, 1);
   fake_server.join();
   listener.Close();
-}
-
-TEST(TransportAsync, V2ServerDegradesToSerialFifoMatching) {
-  TcpListener listener;
-  ASSERT_TRUE(listener.Listen("127.0.0.1", 0, 1));
-  std::vector<RawAct> seen;
-  std::thread fake_server([&listener, &seen] {
-    IoStatus status;
-    TcpConnection conn = listener.Accept(5000, &status);
-    if (!conn.valid()) return;
-    // Advertise protocol v2: the client must drop to v2 frames and
-    // FIFO reply matching.
-    if (!AnswerHandshake(conn, /*advertise=*/2)) return;
-    for (int i = 0; i < 3; ++i) {
-      RawAct act;
-      if (!ReadActRequest(conn, &act)) return;
-      seen.push_back(act);
-      WriteAll(conn, ActReplyFrame(act.user_id, 0, /*version=*/2));
-    }
-  });
-
-  PolicyClientConfig config;
-  config.port = listener.port();
-  config.max_retries = 1;
-  PolicyClient client(config);
-  std::vector<PolicyClient::ActHandle> handles;
-  for (uint64_t u = 10; u <= 30; u += 10) {
-    handles.push_back(client.SubmitAct(u, ObsFor(static_cast<int>(u), 0)));
-  }
-  const std::vector<PolicyClient::ActResult> results =
-      client.AwaitAll(handles);
-  fake_server.join();
-  listener.Close();
-
-  ASSERT_EQ(seen.size(), 3u);
-  for (const RawAct& act : seen) {
-    EXPECT_EQ(act.version, 2);      // no v3 frames sent to a v2 server
-    EXPECT_EQ(act.request_id, 0u);  // and no id field on the wire
-  }
-  for (size_t i = 0; i < results.size(); ++i) {
-    ASSERT_EQ(results[i].status, TransportStatus::kOk) << "i=" << i;
-    // FIFO matching still routes every reply to its own submission.
-    EXPECT_EQ(results[i].reply.action(0, 0),
-              static_cast<double>((i + 1) * 10));
-  }
-  EXPECT_EQ(client.stats().server_version, 2);
-  EXPECT_EQ(client.stats().negotiated_version, 2);
 }
 
 TEST(TransportAsync, HandlesRedeemExactlyOnce) {
@@ -1361,7 +1234,7 @@ std::string UniqueShmName(const char* tag) {
 /// lane directly.
 bool ReadFrameCh(ByteChannel& ch, FrameHeader* header, std::string* payload,
                  int timeout_ms = 2000) {
-  uint8_t bytes[kMaxFrameHeaderBytes];
+  uint8_t bytes[kFrameHeaderBytes];
   if (ch.ReadFull(bytes, kFrameHeaderBytes, timeout_ms) != IoStatus::kOk) {
     return false;
   }
@@ -1369,22 +1242,14 @@ bool ReadFrameCh(ByteChannel& ch, FrameHeader* header, std::string* payload,
       HeaderStatus::kOk) {
     return false;
   }
-  const size_t header_len = FrameHeaderBytesFor(header->version);
-  if (header_len > kFrameHeaderBytes) {
-    if (ch.ReadFull(bytes + kFrameHeaderBytes,
-                    header_len - kFrameHeaderBytes,
-                    timeout_ms) != IoStatus::kOk) {
-      return false;
-    }
-    DecodeRequestId(bytes + kFrameHeaderBytes, header);
-  }
+  DecodeRequestId(bytes + kFramePrefixBytes, header);
   payload->assign(header->payload_len, '\0');
   if (header->payload_len > 0 &&
       ch.ReadFull(payload->data(), payload->size(), timeout_ms) !=
           IoStatus::kOk) {
     return false;
   }
-  return FrameCrcMatches(bytes, header_len, *payload);
+  return FrameCrcMatches(bytes, *payload);
 }
 
 TEST(ShmLaneTest, CarriesFramesBitwiseAndRecyclesAcrossClients) {
@@ -1406,9 +1271,8 @@ TEST(ShmLaneTest, CarriesFramesBitwiseAndRecyclesAcrossClients) {
     std::string payload;
     while (ReadFrameCh(*server_channel, &header, &payload, 5000)) {
       // Echo the payload back byte-for-byte under the echoed id.
-      const std::string frame =
-          EncodeFrame(MessageType::kActReply, payload, header.version,
-                      header.flags, header.request_id);
+      const std::string frame = EncodeFrame(
+          MessageType::kActReply, payload, header.flags, header.request_id);
       if (server_channel->WriteFull(frame.data(), frame.size(), 5000) !=
           IoStatus::kOk) {
         return;
@@ -1427,9 +1291,8 @@ TEST(ShmLaneTest, CarriesFramesBitwiseAndRecyclesAcrossClients) {
   const double specials[] = {1.0 / 3.0, -0.0, 5e-324, 1e300, 0.1};
   for (int c = 0; c < 5; ++c) obs(0, c) = specials[c];
   const std::string request = EncodeActRequest(21, obs);
-  const std::string frame =
-      EncodeFrame(MessageType::kActRequest, request, kProtocolVersion,
-                  /*flags=*/0, /*request_id=*/77);
+  const std::string frame = EncodeFrame(MessageType::kActRequest, request,
+                                        /*flags=*/0, /*request_id=*/77);
   ASSERT_EQ(client_channel->WriteFull(frame.data(), frame.size(), 2000),
             IoStatus::kOk);
   FrameHeader header;
@@ -1439,8 +1302,7 @@ TEST(ShmLaneTest, CarriesFramesBitwiseAndRecyclesAcrossClients) {
   EXPECT_EQ(payload, request);  // CRC checked inside ReadFrameCh
   uint64_t user_id = 0, trace_id = 0;
   nn::Tensor decoded;
-  ASSERT_TRUE(DecodeActRequest(payload, kProtocolVersion, &user_id,
-                               &trace_id, &decoded));
+  ASSERT_TRUE(DecodeActRequest(payload, &user_id, &trace_id, &decoded));
   EXPECT_TRUE(BitwiseEqual(obs, decoded));
 
   // Client departs: the server side drains to kClosed, the lane
