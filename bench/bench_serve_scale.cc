@@ -82,14 +82,8 @@ sadae::SadaeConfig TinySadaeConfig() {
 serve::ServeRouterConfig RouterConfig() {
   serve::ServeRouterConfig config;
   config.shard.max_batch_size = 64;
-  config.shard.max_queue_delay_us = 50;
-  config.shard.micro_batching = true;
   config.shard.action_low = {-4.0};
   config.shard.action_high = {4.0};
-  // Serve from the frozen float32 plan (shared across shards): the
-  // forward-pass headroom is what lets the full mode hold a
-  // million-session population on one box.
-  config.shard.precision = serve::Precision::kFloat32;
   // Population scale: hold every resident session (abandoned ones
   // accumulate — TTL is exercised in tests, not here) without LRU
   // churn, and never expire.
@@ -207,8 +201,8 @@ int Run(int argc, char** argv) {
   // PolicyClients -> loopback PolicyServer -> 2-shard router. The
   // request stream is a pure function of (seed, config), so it must
   // checksum identically to an in-process run of the same config; and
-  // because the wire carries raw IEEE-754 bytes (and float32 serving is
-  // batch-composition-invariant like the double path), the reply
+  // because the wire carries raw IEEE-754 bytes (and the float32 plan
+  // computes every row independently), the reply
   // checksum must match bit for bit too.
   if (HasFlag(argc, argv, "--transport")) {
     const int kThreads = 4;
@@ -527,7 +521,6 @@ int Run(int argc, char** argv) {
 
     serve::CheckpointWatcherConfig watcher_config;
     watcher_config.dir = ckpt_dir;
-    watcher_config.precision = serve::Precision::kFloat32;
     serve::CheckpointWatcher watcher(&router, watcher_config);
 
     const int first_shard = router.shard_ids().front();

@@ -1,13 +1,13 @@
 // Microbenchmark of the policy-serving subsystem (src/serve): a closed
-// loop of N simulated LTS users driving a micro-batched InferenceServer
-// that serves a checkpoint exported by the LTS experiment pipeline.
+// loop of N simulated LTS users driving a batching InferenceServer that
+// serves a checkpoint exported by the LTS experiment pipeline.
 //
-// Two things are measured / asserted:
-//   1. Correctness: with micro-batching on, the per-user observation
-//      streams collected during the concurrent run are replayed through
-//      serial single-request inference; every action must match
-//      bit-for-bit (ServeStep is row-decomposable, so micro-batch
-//      composition must never leak into any user's answer).
+// Measured / asserted:
+//   1. Correctness: the per-user observation streams collected during a
+//      concurrent run are replayed through a fresh server driven by one
+//      thread (one row per batch); every action must match bit-for-bit
+//      (the plan computes every row independently, so batch composition
+//      must never leak into any user's answer).
 //   2. Throughput: requests/sec and latency quantiles (p50/p95/p99) at
 //      1/2/4/8 concurrent client threads, each thread driving its own
 //      slice of users round-robin.
@@ -15,6 +15,11 @@
 //      ServeRouter at 1/2/4/8 shards x 1/2/4/8 clients, quantiles taken
 //      from the router's merged per-shard metrics (obs::MergeSnapshots
 //      — the cross-process aggregation seam exercised end to end).
+//
+// Every gate prints its FAIL, is recorded and the run goes on, so one
+// failed bar never hides the gates after it; the exit code is 1 when
+// any gate failed (the failed ones are listed last). Set-up failures —
+// cannot load, bind or start — still end the run at once.
 //
 // Note: on a single-core container the thread counts (and shard
 // counts) collapse to ~1x — shards scale with physical cores, which
@@ -38,6 +43,7 @@
 #include "baselines/factories.h"
 #include "core/context_agent.h"
 #include "envs/lts_env.h"
+#include "infer/plan.h"
 #include "nn/tensor.h"
 #include "sadae/sadae.h"
 #include "experiments/lts_experiment.h"
@@ -87,12 +93,9 @@ SimUser MakeUser(uint64_t user_id) {
   return user;
 }
 
-serve::InferenceServerConfig ServerConfig(bool micro_batching,
-                                          int max_batch_size) {
+serve::InferenceServerConfig ServerConfig(int max_batch_size) {
   serve::InferenceServerConfig config;
-  config.micro_batching = micro_batching;
   config.max_batch_size = max_batch_size;
-  config.max_queue_delay_us = 200;
   config.action_low = {0.0};
   config.action_high = {1.0};
   return config;
@@ -170,6 +173,17 @@ class TimedService : public serve::PolicyService {
   std::shared_ptr<serve::PolicyService> inner_;
   serve::LatencyHistogram* latency_;
 };
+
+/// Times `forward` once per call, restoring the batch state first so
+/// every call sees the same input.
+double TimeForwardUs(const core::ContextAgent::ServeBatch& initial,
+                     core::ContextAgent::ServeBatch* state,
+                     const std::function<void()>& forward) {
+  *state = initial;
+  const double start_us = obs::MonotonicMicros();
+  forward();
+  return obs::MonotonicMicros() - start_us;
+}
 
 /// Exact quantile over raw latency samples (sorts in place). The
 /// serve::LatencyHistogram is log2-bucketed — fine for dashboards, too
@@ -257,6 +271,9 @@ int Run(int argc, char** argv) {
               policy->metadata.variant.c_str(),
               policy->metadata.train_iterations);
 
+  // Gates that failed, in run order (see the header comment).
+  std::vector<std::string> failed_gates;
+
   // --- Phase 1: batched == serial, bit for bit. -------------------------
   obs::TraceRecorder::Global().Start();
   const int kCheckUsers = 8;
@@ -264,8 +281,8 @@ int Run(int argc, char** argv) {
   std::vector<std::vector<nn::Tensor>> obs_log(kCheckUsers);
   std::vector<std::vector<nn::Tensor>> action_log(kCheckUsers);
   {
-    serve::InferenceServer batched(
-        policy->agent.get(), ServerConfig(true, kCheckUsers));
+    serve::InferenceServer batched(policy->agent.get(),
+                                   ServerConfig(kCheckUsers));
     DriveClosedLoop(batched, kCheckUsers, /*num_clients=*/kCheckUsers,
                     kCheckSteps, &obs_log, &action_log);
     const serve::InferenceServerStats stats = batched.stats();
@@ -277,8 +294,8 @@ int Run(int argc, char** argv) {
   }
   bool identical = true;
   {
-    serve::InferenceServer serial(policy->agent.get(),
-                                  ServerConfig(false, 1));
+    // One thread, one request at a time: every batch has one row.
+    serve::InferenceServer serial(policy->agent.get(), ServerConfig(1));
     for (int u = 0; u < kCheckUsers && identical; ++u) {
       for (int t = 0; t < kCheckSteps; ++t) {
         const serve::ServeReply reply = serial.Act(u, obs_log[u][t]);
@@ -291,9 +308,12 @@ int Run(int argc, char** argv) {
       }
     }
   }
-  if (!identical) return 1;
-  std::printf("batched output bitwise-identical to serial replay "
-              "(%d users x %d steps)\n\n", kCheckUsers, kCheckSteps);
+  if (identical) {
+    std::printf("batched output bitwise-identical to serial replay "
+                "(%d users x %d steps)\n\n", kCheckUsers, kCheckSteps);
+  } else {
+    failed_gates.push_back("phase 1: batched == serial bitwise");
+  }
 
   // --- Phase 2: throughput at 1/2/4/8 client threads. -------------------
   const int kSteps = full ? 200 : 60;
@@ -308,10 +328,8 @@ int Run(int argc, char** argv) {
                  "p99_us", "mean_occupancy"});
   for (int clients : client_counts) {
     const int num_users = clients * kUsersPerClient;
-    core::ThreadPool pool(2);  // dedicated to this server's batcher
-    serve::InferenceServer server(
-        policy->agent.get(),
-        ServerConfig(true, /*max_batch_size=*/num_users), &pool);
+    serve::InferenceServer server(policy->agent.get(),
+                                  ServerConfig(/*max_batch_size=*/num_users));
     // Warm-up (excluded from timing).
     DriveClosedLoop(server, num_users, clients, 2, nullptr, nullptr);
     Stopwatch stopwatch;
@@ -332,8 +350,9 @@ int Run(int argc, char** argv) {
   // A serving-size Sim2Rec head — the checkpoint trained above is kept
   // deliberately tiny so the bench starts fast, but precision only
   // matters once the GEMMs dominate: LSTM-64 extractor, 128x128
-  // policy/value heads, SADAE latent-8 encoder. Same closed loop, same
-  // micro-batching config; only `precision` differs between rows.
+  // policy/value heads, SADAE latent-8 encoder. Servers forward through
+  // the frozen float32 plan only; the double ContextAgent::ServeStep is
+  // the reference it is checked and timed against.
   core::ContextAgentConfig prec_config;
   prec_config.obs_dim = envs::kLtsObsDim;
   prec_config.action_dim = 1;
@@ -352,93 +371,100 @@ int Run(int argc, char** argv) {
   prec_agent.normalizer()->Update(
       nn::Tensor::Randn(256, envs::kLtsObsDim, prec_rng, 0.0, 1.0));
 
-  // Numerics first: replay identical per-user observation streams
-  // through both precisions serially; float32 must track double within
-  // tolerance (the double path's own batched==serial bitwise contract
-  // was pinned in phase 1 and is untouched by the plan).
+  // Numerics first: serve per-user closed loops from one thread, then
+  // replay each user's observation stream through the double
+  // ContextAgent::ServeStep with the user's own recurrent state; the
+  // served (float32) actions must track it within tolerance.
   const int kPrecCheckSteps = 12;
   const int kPrecUsers = 8;
   std::vector<std::vector<nn::Tensor>> prec_obs(kPrecUsers);
   std::vector<std::vector<nn::Tensor>> prec_act(kPrecUsers);
-  {
-    serve::InferenceServer dbl(&prec_agent, ServerConfig(false, 1));
-    DriveClosedLoop(dbl, kPrecUsers, /*num_clients=*/1, kPrecCheckSteps,
-                    &prec_obs, &prec_act);
-  }
+  // No F_exec guard here: the comparison is against raw ServeStep actions.
+  serve::InferenceServer f32(&prec_agent, serve::InferenceServerConfig{});
+  std::printf("frozen: %s\n", f32.plan()->Describe().c_str());
+  DriveClosedLoop(f32, kPrecUsers, /*num_clients=*/1, kPrecCheckSteps,
+                  &prec_obs, &prec_act);
   double prec_max_diff = 0.0;
-  {
-    serve::InferenceServerConfig f32_config = ServerConfig(false, 1);
-    f32_config.precision = serve::Precision::kFloat32;
-    serve::InferenceServer f32(&prec_agent, f32_config);
-    for (int u = 0; u < kPrecUsers; ++u) {
-      for (int t = 0; t < kPrecCheckSteps; ++t) {
-        const serve::ServeReply reply = f32.Act(u, prec_obs[u][t]);
-        prec_max_diff = std::max(
-            prec_max_diff, nn::MaxAbsDiff(reply.action, prec_act[u][t]));
-      }
+  for (int u = 0; u < kPrecUsers; ++u) {
+    core::ContextAgent::ServeBatch state = prec_agent.InitialServeBatch(1);
+    for (int t = 0; t < kPrecCheckSteps; ++t) {
+      const core::ContextAgent::ServeOutput ref =
+          prec_agent.ServeStep(prec_obs[u][t], &state);
+      prec_max_diff = std::max(
+          prec_max_diff, nn::MaxAbsDiff(ref.actions, prec_act[u][t]));
     }
   }
   const double kPrecTol = 5e-3;
-  std::printf("\nfloat32 vs double serving: max action |delta| = %.2e "
-              "over %d users x %d steps (tolerance %.0e)\n", prec_max_diff,
-              kPrecUsers, kPrecCheckSteps, kPrecTol);
+  std::printf("\nfloat32 serving vs double ServeStep: max action |delta| = "
+              "%.2e over %d users x %d steps (tolerance %.0e)\n",
+              prec_max_diff, kPrecUsers, kPrecCheckSteps, kPrecTol);
   if (prec_max_diff > kPrecTol) {
     std::printf("FAIL: float32 serving diverged beyond tolerance\n");
-    return 1;
+    failed_gates.push_back("phase 2.2: float32 within tolerance of double");
   }
 
-  // Throughput: identical closed loop per row, precision is the only
-  // difference. The acceptance bar is >=4x request rate at
-  // equal-or-better p99.
-  const int kPrecSteps = full ? 250 : 80;
+  // Throughput: the two forwards called directly on the same
+  // kPrecUsers-row batch, alternating call by call so both see the same
+  // host noise. Rows per second and per-call latency; the acceptance bar
+  // is a >=2.5x row rate at equal-or-better p99.
+  const int kPrecCalls = full ? 1000 : 400;
   std::printf("\nforward-pass precision (serving-size head: lstm=64, "
-              "heads=128x128, sadae latent=8; %d users x %d steps):\n",
-              kPrecUsers, kPrecSteps);
-  std::printf("%-10s %-12s %-9s %-9s %-9s %-9s\n", "precision", "req/sec",
+              "heads=128x128, sadae latent=8; %d-row batch x %d calls):\n",
+              kPrecUsers, kPrecCalls);
+  std::printf("%-10s %-12s %-9s %-9s %-9s %-9s\n", "precision", "rows/sec",
               "p50(us)", "p95(us)", "p99(us)", "speedup");
   CsvWriter prec_csv("results/micro_serve_precision.csv",
                      {"precision", "req_per_sec", "p50_us", "p95_us",
                       "p99_us"});
+  nn::Tensor prec_batch(kPrecUsers, envs::kLtsObsDim);
+  for (int u = 0; u < kPrecUsers; ++u) prec_batch.SetRow(u, prec_obs[u][0]);
+  const core::ContextAgent::ServeBatch prec_initial =
+      prec_agent.InitialServeBatch(kPrecUsers);
+  core::ContextAgent::ServeBatch prec_state;
+  infer::Workspace prec_workspace = f32.plan()->CreateWorkspace(kPrecUsers);
+  std::vector<double> prec_us[2];
+  double prec_total_us[2] = {0.0, 0.0};
+  for (int call = 0; call < kPrecCalls; ++call) {
+    prec_us[0].push_back(TimeForwardUs(prec_initial, &prec_state, [&] {
+      prec_agent.ServeStep(prec_batch, &prec_state);
+    }));
+    prec_us[1].push_back(TimeForwardUs(prec_initial, &prec_state, [&] {
+      f32.plan()->ServeStep(prec_batch, &prec_state, &prec_workspace);
+    }));
+    prec_total_us[0] += prec_us[0].back();
+    prec_total_us[1] += prec_us[1].back();
+  }
   double prec_rate[2] = {0.0, 0.0};
   double prec_p99[2] = {0.0, 0.0};
   for (int pass = 0; pass < 2; ++pass) {
-    const bool f32 = pass == 1;
-    serve::InferenceServerConfig config = ServerConfig(true, kPrecUsers);
-    if (f32) config.precision = serve::Precision::kFloat32;
-    serve::InferenceServer server(&prec_agent, config);
-    if (f32) std::printf("frozen: %s\n", server.plan()->Describe().c_str());
-    DriveClosedLoop(server, kPrecUsers, kPrecUsers, 2, nullptr, nullptr);
-    Stopwatch stopwatch;
-    DriveClosedLoop(server, kPrecUsers, kPrecUsers, kPrecSteps, nullptr,
-                    nullptr);
-    const double seconds = stopwatch.ElapsedSeconds();
-    const serve::InferenceServerStats stats = server.stats();
-    prec_rate[pass] = kPrecUsers * static_cast<double>(kPrecSteps) / seconds;
-    prec_p99[pass] = stats.latency_p99_us;
+    const bool is_f32 = pass == 1;
+    prec_rate[pass] = 1e6 * kPrecUsers * static_cast<double>(kPrecCalls) /
+                      prec_total_us[pass];
+    const double p50 = ExactQuantileUs(&prec_us[pass], 0.50);
+    const double p95 = ExactQuantileUs(&prec_us[pass], 0.95);
+    prec_p99[pass] = ExactQuantileUs(&prec_us[pass], 0.99);
     char speedup[32];
     std::snprintf(speedup, sizeof(speedup), "%.2fx",
-                  f32 ? prec_rate[1] / prec_rate[0] : 1.0);
-    std::printf("%-10s %-12.0f %-9.0f %-9.0f %-9.0f %-9s\n",
-                f32 ? "float32" : "double", prec_rate[pass],
-                stats.latency_p50_us, stats.latency_p95_us,
-                stats.latency_p99_us, speedup);
-    prec_csv.WriteRow(f32 ? "float32" : "double",
-                      {prec_rate[pass], stats.latency_p50_us,
-                       stats.latency_p95_us, stats.latency_p99_us});
+                  is_f32 ? prec_rate[1] / prec_rate[0] : 1.0);
+    std::printf("%-10s %-12.0f %-9.1f %-9.1f %-9.1f %-9s\n",
+                is_f32 ? "float32" : "double", prec_rate[pass], p50, p95,
+                prec_p99[pass], speedup);
+    prec_csv.WriteRow(is_f32 ? "float32" : "double",
+                      {prec_rate[pass], p50, p95, prec_p99[pass]});
   }
   // Bar at 2.5x: the plan reaches ~4x on a quiet host, but the double
-  // row's rate swings +-25% on shared single-core containers, so the
+  // forward's rate swings +-25% on shared single-core containers, so the
   // hard gate sits below the noise floor (the printed speedup is the
   // number to read).
   if (prec_rate[1] < 2.5 * prec_rate[0]) {
     std::printf("FAIL: float32 speedup %.2fx is below the 2.5x bar\n",
                 prec_rate[1] / prec_rate[0]);
-    return 1;
+    failed_gates.push_back("phase 2.2: float32 forward >= 2.5x double");
   }
   if (prec_p99[1] > prec_p99[0]) {
     std::printf("FAIL: float32 p99 %.0fus regressed vs double %.0fus\n",
                 prec_p99[1], prec_p99[0]);
-    return 1;
+    failed_gates.push_back("phase 2.2: float32 p99 <= double p99");
   }
 
   // --- Phase 2.5: in-process vs loopback TCP (transport overhead). ------
@@ -468,7 +494,7 @@ int Run(int argc, char** argv) {
   const bool shm_ok = transport::ShmAvailable();
   {
     serve::ServeRouterConfig router_config;
-    router_config.shard = ServerConfig(true, /*max_batch_size=*/16);
+    router_config.shard = ServerConfig(/*max_batch_size=*/16);
     serve::ServeRouter router(policy->agent.get(), router_config,
                               /*num_shards=*/2);
     serve::LatencyHistogram latency;
@@ -493,7 +519,7 @@ int Run(int argc, char** argv) {
   }
   {
     serve::ServeRouterConfig router_config;
-    router_config.shard = ServerConfig(true, /*max_batch_size=*/16);
+    router_config.shard = ServerConfig(/*max_batch_size=*/16);
     serve::ServeRouter router(policy->agent.get(), router_config,
                               /*num_shards=*/2);
     transport::PolicyServerConfig server_config;
@@ -537,7 +563,7 @@ int Run(int argc, char** argv) {
     obs::MetricsSnapshot remote;
     if (probe.FetchMetrics(&remote) != transport::TransportStatus::kOk) {
       std::printf("FAIL: FetchMetrics over the wire failed\n");
-      return 1;
+      failed_gates.push_back("phase 2.5: metrics fetched over the wire");
     }
     int64_t wire_requests = 0;
     for (const auto& c : remote.counters) {
@@ -554,7 +580,7 @@ int Run(int argc, char** argv) {
   // identical bits — only the byte carrier differs.
   if (shm_ok) {
     serve::ServeRouterConfig router_config;
-    router_config.shard = ServerConfig(true, /*max_batch_size=*/16);
+    router_config.shard = ServerConfig(/*max_batch_size=*/16);
     serve::ServeRouter router(policy->agent.get(), router_config,
                               /*num_shards=*/2);
     transport::PolicyServerConfig server_config;
@@ -620,22 +646,26 @@ int Run(int argc, char** argv) {
       }
     }
   }
-  if (!wire_identical) return 1;
-  std::printf("%s actions bitwise-identical to in-process "
-              "(%d users x %d steps)\n",
-              shm_ok ? "loopback and shm-lane" : "loopback",
-              kWireUsers, kWireSteps);
+  if (wire_identical) {
+    std::printf("%s actions bitwise-identical to in-process "
+                "(%d users x %d steps)\n",
+                shm_ok ? "loopback and shm-lane" : "loopback",
+                kWireUsers, kWireSteps);
+  } else {
+    failed_gates.push_back("phase 2.5: carriers bitwise == in-process");
+  }
 
   // --- Phase 2.6: transport fast lanes. ---------------------------------
   // Two claims, each measured where it is visible:
   //
-  //   (a) Pipelining: against a micro-batched server, one multiplexed
-  //       v3 connection at depth 8 must reach >= 3x the request rate
-  //       of the same connection used serially. The mechanism: a
-  //       serial client hands the batcher one request at a time, so
-  //       every request pays the full max_queue_delay_us; depth-8
-  //       submissions land together and fire a full batch immediately.
-  //   (b) Lane latency: against an unbatched server (no queue delay to
+  //   (a) Pipelining: against a batching server, one multiplexed v3
+  //       connection at depth 8 must reach >= 3x the request rate of
+  //       the same connection used serially. Depth-8 submissions
+  //       overlap, so they share batches and round trips. The bar was
+  //       set when every serial request also paid a fixed straggler
+  //       hold that pipelined batches skipped; with batching now driven
+  //       by overlap alone, the bar is due to be re-derived (ROADMAP).
+  //   (b) Lane latency: against a one-row-batch server (nothing to
   //       drown the carrier), the shm lane must beat loopback TCP on
   //       exact p50 AND p99 — the kernel socket stack leaves the
   //       round trip.
@@ -646,20 +676,18 @@ int Run(int argc, char** argv) {
     for (int u = 0; u < kFastUsers; ++u) {
       fast_obs[u] = MakeUser(u).obs;
     }
-    std::printf("\nfast lanes — pipelining (micro-batched server, "
-                "max_batch=8, queue delay 300us, %d requests/row):\n",
+    std::printf("\nfast lanes — pipelining (batching server, max_batch=8, "
+                "%d requests/row):\n",
                 kFastN);
     std::printf("%-16s %-12s %-9s %-9s\n", "row", "req/sec", "p50(us)",
                 "p99(us)");
     CsvWriter fast_csv("results/micro_serve_fastlane.csv",
                        {"row", "req_per_sec", "p50_us", "p99_us"});
 
-    serve::InferenceServerConfig batch_config = ServerConfig(true, 8);
-    batch_config.max_queue_delay_us = 300;
-    serve::InferenceServer batched(policy->agent.get(), batch_config);
+    serve::InferenceServer batched(policy->agent.get(), ServerConfig(8));
     transport::PolicyServerConfig fast_server_config;
     fast_server_config.num_workers = 2;
-    fast_server_config.dispatch_threads = 8;  // all 8 reach the batcher
+    fast_server_config.dispatch_threads = 8;  // all 8 reach the server
     const bool fast_shm = shm_ok;
     fast_server_config.shm_lanes = fast_shm ? 1 : 0;
     fast_server_config.shm_name =
@@ -766,19 +794,19 @@ int Run(int argc, char** argv) {
     if (tcp_serial <= 0.0 || tcp_pipelined <= 0.0 ||
         (fast_shm && (shm_serial <= 0.0 || shm_pipelined <= 0.0))) {
       std::printf("FAIL: a fast-lane row hit a transport error\n");
-      return 1;
-    }
-    std::printf("pipelining speedup on one connection: %.2fx (bar: 3x)\n",
-                tcp_pipelined / tcp_serial);
-    if (tcp_pipelined < 3.0 * tcp_serial) {
-      std::printf("FAIL: depth-8 pipelining %.2fx is below the 3x bar\n",
+      failed_gates.push_back("phase 2.6(a): fast-lane rows complete");
+    } else {
+      std::printf("pipelining speedup on one connection: %.2fx (bar: 3x)\n",
                   tcp_pipelined / tcp_serial);
-      return 1;
+      if (tcp_pipelined < 3.0 * tcp_serial) {
+        std::printf("FAIL: depth-8 pipelining %.2fx is below the 3x bar\n",
+                    tcp_pipelined / tcp_serial);
+        failed_gates.push_back("phase 2.6(a): depth-8 pipelining >= 3x");
+      }
     }
 
-    // (b) Lane latency, no batcher in the way.
-    serve::InferenceServer unbatched(policy->agent.get(),
-                                     ServerConfig(false, 1));
+    // (b) Lane latency: one-row batches, nothing queues in the way.
+    serve::InferenceServer unbatched(policy->agent.get(), ServerConfig(1));
     transport::PolicyServerConfig lane_server_config;
     lane_server_config.num_workers = 2;
     lane_server_config.shm_lanes = fast_shm ? 1 : 0;
@@ -829,7 +857,7 @@ int Run(int argc, char** argv) {
       std::printf("%-16s %-9.1f %-9.1f\n", label, *p50_us, *p99_us);
       return true;
     };
-    std::printf("\nfast lanes — carrier latency (unbatched server, "
+    std::printf("\nfast lanes — carrier latency (one-row batches, "
                 "exact quantiles):\n");
     std::printf("%-16s %-9s %-9s\n", "lane", "p50(us)", "p99(us)");
     double tcp_p50 = 0.0, tcp_p99 = 0.0, shm_p50 = 0.0, shm_p99 = 0.0;
@@ -838,7 +866,7 @@ int Run(int argc, char** argv) {
     if (!fast_shm) {
       if (!lane_row(lane_tcp, "loopback-tcp", &tcp_p50, &tcp_p99)) {
         std::printf("FAIL: TCP lane-latency row hit a transport error\n");
-        return 1;
+        failed_gates.push_back("phase 2.6(b): lane-latency rows complete");
       }
       std::printf("%-16s (skipped: POSIX shm unavailable)\n", "shm-lane");
     } else {
@@ -847,6 +875,7 @@ int Run(int argc, char** argv) {
       // lanes together (up to 3 attempts) and take the best attempt:
       // the claim under test is the carrier gap, not one run's tail.
       bool shm_wins = false;
+      bool lane_error = false;
       for (int attempt = 0; attempt < 3 && !shm_wins; ++attempt) {
         if (attempt > 0) {
           std::printf("(tail noise — re-measuring both lanes, "
@@ -855,22 +884,29 @@ int Run(int argc, char** argv) {
         if (!lane_row(lane_tcp, "loopback-tcp", &tcp_p50, &tcp_p99)) {
           std::printf("FAIL: TCP lane-latency row hit a transport "
                       "error\n");
-          return 1;
+          lane_error = true;
+          break;
         }
         if (!lane_row("shm://" + lane_server_config.shm_name, "shm-lane",
                       &shm_p50, &shm_p99)) {
           std::printf("FAIL: shm lane-latency row hit a transport "
                       "error\n");
-          return 1;
+          lane_error = true;
+          break;
         }
         shm_wins = shm_p50 < tcp_p50 && shm_p99 < tcp_p99;
       }
-      std::printf("shm vs tcp: p50 %.1f/%.1f us, p99 %.1f/%.1f us\n",
-                  shm_p50, tcp_p50, shm_p99, tcp_p99);
-      if (!shm_wins) {
-        std::printf("FAIL: shm lane did not beat loopback TCP on both "
-                    "p50 and p99\n");
-        return 1;
+      if (lane_error) {
+        failed_gates.push_back("phase 2.6(b): lane-latency rows complete");
+      } else {
+        std::printf("shm vs tcp: p50 %.1f/%.1f us, p99 %.1f/%.1f us\n",
+                    shm_p50, tcp_p50, shm_p99, tcp_p99);
+        if (!shm_wins) {
+          std::printf("FAIL: shm lane did not beat loopback TCP on both "
+                      "p50 and p99\n");
+          failed_gates.push_back("phase 2.6(b): shm beats tcp on p50 and "
+                                 "p99");
+        }
       }
     }
     lane_server.Shutdown();
@@ -894,7 +930,7 @@ int Run(int argc, char** argv) {
     for (int clients : client_counts) {
       const int num_users = clients * kUsersPerClient;
       serve::ServeRouterConfig router_config;
-      router_config.shard = ServerConfig(true, /*max_batch_size=*/16);
+      router_config.shard = ServerConfig(/*max_batch_size=*/16);
       serve::ServeRouter router(policy->agent.get(), router_config,
                                 shards);
       DriveClosedLoop(router, num_users, clients, 2, nullptr, nullptr);
@@ -944,7 +980,7 @@ int Run(int argc, char** argv) {
   if (!obs::JsonValidate(snapshot_json, &json_error)) {
     std::printf("FAIL: metrics snapshot is not valid JSON (%s)\n",
                 json_error.c_str());
-    return 1;
+    failed_gates.push_back("export: metrics snapshot is valid JSON");
   }
   const std::string trace_path = "results/micro_serve_trace.json";
   const std::string trace_json =
@@ -952,18 +988,18 @@ int Run(int argc, char** argv) {
   if (!obs::JsonValidate(trace_json, &json_error)) {
     std::printf("FAIL: trace export is not valid JSON (%s)\n",
                 json_error.c_str());
-    return 1;
+    failed_gates.push_back("export: trace is valid JSON");
   }
   if (!obs::TraceRecorder::Global().WriteChromeTrace(trace_path)) {
     std::printf("FAIL: could not write %s\n", trace_path.c_str());
-    return 1;
+    failed_gates.push_back("export: trace file written");
   }
   const std::vector<std::string> span_names =
       obs::TraceRecorder::Global().SpanNames();
   if (obs::Enabled() && span_names.size() < 3) {
     std::printf("FAIL: expected >= 3 distinct span names in the serving "
                 "trace, got %zu\n", span_names.size());
-    return 1;
+    failed_gates.push_back("export: >= 3 span kinds in the trace");
   }
   std::printf("\nmetrics snapshot:\n%s",
               obs::MetricsRegistry::Global().Snapshot().ToText().c_str());
@@ -977,7 +1013,14 @@ int Run(int argc, char** argv) {
   std::printf("exporter: %lld periodic samples -> %s\n",
               static_cast<long long>(exporter.snapshots_taken()),
               exporter_config.jsonl_path.c_str());
-  std::printf("\nserving checkpoint round trip + micro-batching OK\n");
+  if (!failed_gates.empty()) {
+    std::printf("\nFAILED %zu gate(s):\n", failed_gates.size());
+    for (const std::string& gate : failed_gates) {
+      std::printf("  %s\n", gate.c_str());
+    }
+    return 1;
+  }
+  std::printf("\nserving checkpoint round trip + batching OK\n");
   return 0;
 }
 

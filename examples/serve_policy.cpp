@@ -1,6 +1,6 @@
 // Serving walkthrough: train a Sim2Rec policy, export it as a serving
 // checkpoint, load it back, and answer live per-user requests through
-// the micro-batched inference server.
+// the batching inference server.
 //
 //   ./build/examples/serve_policy
 //
@@ -9,8 +9,9 @@
 // (policy + value + extractor + SADAE weights, observation-normalizer
 // statistics, and a config manifest), the SessionStore keeps each
 // user's recurrent extractor state between requests, and the
-// InferenceServer coalesces concurrent Act() calls into batched
-// forward passes without changing any user's answer.
+// InferenceServer batches Act() calls that overlap into one forward
+// pass through the frozen float32 plan without changing any user's
+// answer.
 
 #include <cstdio>
 #include <filesystem>
@@ -62,11 +63,10 @@ int main() {
               policy->metadata.train_iterations);
 
   // 3. Serve it. The server owns a per-user session store (LRU + TTL)
-  //    and a micro-batching queue; the F_exec guard clamps actions into
-  //    the executable box and flags the clamp.
+  //    and batches overlapping requests; the F_exec guard clamps
+  //    actions into the executable box and flags the clamp.
   serve::InferenceServerConfig server_config;
   server_config.max_batch_size = 8;
-  server_config.max_queue_delay_us = 200;
   server_config.action_low = {0.0};   // LTS action box
   server_config.action_high = {1.0};
   serve::InferenceServer server(policy->agent.get(), server_config);
@@ -97,7 +97,7 @@ int main() {
   for (auto& th : clients) th.join();
 
   const serve::InferenceServerStats stats = server.stats();
-  std::printf("\nserved %lld requests in %lld micro-batches "
+  std::printf("\nserved %lld requests in %lld batches "
               "(mean occupancy %.2f)\n",
               static_cast<long long>(stats.requests),
               static_cast<long long>(stats.batches),

@@ -59,7 +59,6 @@ int main() {
   // 2. Build the serving tier: a 2-shard consistent-hash router ...
   serve::ServeRouterConfig router_config;
   router_config.shard.max_batch_size = 8;
-  router_config.shard.max_queue_delay_us = 200;
   router_config.shard.action_low = {0.0};  // LTS action box
   router_config.shard.action_high = {1.0};
   serve::ServeRouter router(policy->agent.get(), router_config,

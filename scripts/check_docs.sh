@@ -7,7 +7,8 @@
 # and checks each <name> against the targets declared via
 # add_executable / s2r_add_test / s2r_add_bench / s2r_add_example.
 # Steps 3-6 check metric names, the protocol message-type table, the
-# architecture module map and backticked code names (see each step).
+# architecture module map and the code names and config fields the docs
+# cite (see each step).
 #
 # Wired as the `check_docs` ctest (tests/CMakeLists.txt), so stale docs
 # fail CI the same way a broken test does.
@@ -144,21 +145,36 @@ fi
 # --- 6. Code names the docs cite must exist in source. -----------------
 # Backticked `ns::Name` (e.g. `serve::LoadCheckpointEx`,
 # `infer::InferencePlan::Freeze`) and `kName` (`kVersionUnsupported`)
-# spans in the README and docs/*.md point a reader at code. Every name
-# after the namespace must appear as a word somewhere under src/ —
-# otherwise the doc describes a type, function or status that was
-# renamed or deleted.
-for doc in "${docs[@]}"; do
+# spans in the README, DESIGN.md and docs/*.md point a reader at code,
+# and so do their fenced code blocks: every qualified ns::Name outside
+# std:: and every assigned config field (`.name =`). Every name after
+# the namespace, and every field, must appear as a word somewhere under
+# src/ — otherwise the doc describes a type, function, status or option
+# that was renamed or deleted.
+check_word() {  # doc, cited text, word
+  if ! grep -rqw -- "$3" src/; then
+    echo "check_docs: $1 cites '$2' but '$3' is not in src/" >&2
+    fail=1
+  fi
+}
+for doc in "${docs[@]}" DESIGN.md; do
   [ -e "$doc" ] || continue
-  code_names=$(grep -oE '`[a-z_]+(::[A-Za-z_][A-Za-z0-9_]*)+|`k[A-Z][A-Za-z0-9_]*`' \
-      "$doc" | tr -d '`' | sort -u)
+  code_names=$( {
+      grep -oE '`[a-z_]+(::[A-Za-z_][A-Za-z0-9_]*)+|`k[A-Z][A-Za-z0-9_]*`' \
+        "$doc" | tr -d '`'
+      awk '/^```/ { fence = !fence; next } fence { print }' "$doc" |
+        grep -oE '[a-z_]+(::[A-Za-z_][A-Za-z0-9_]*)+' | grep -v '^std::'
+    } | sort -u)
   for code_name in $code_names; do
     for word in $(echo "${code_name#*::}" | sed 's/::/ /g'); do
-      if ! grep -rqw -- "$word" src/; then
-        echo "check_docs: $doc cites '$code_name' but '$word' is not in src/" >&2
-        fail=1
-      fi
+      check_word "$doc" "$code_name" "$word"
     done
+  done
+  fields=$(awk '/^```/ { fence = !fence; next } fence { print }' "$doc" |
+    grep -oE '\.[a-z_][a-z0-9_]* *=([^=]|$)' |
+    sed -E 's/^\.([a-z0-9_]+).*/\1/' | sort -u)
+  for field in $fields; do
+    check_word "$doc" ".$field =" "$field"
   done
 done
 if [ "$fail" -ne 0 ]; then

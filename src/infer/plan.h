@@ -17,7 +17,8 @@ enum class FreezeStatus {
   kOk,
   /// The agent's module graph failed validation (missing submodule,
   /// shape-inconsistent or non-finite parameters). Freeze never aborts
-  /// on bad input — callers fall back to the double path.
+  /// on bad input — callers refuse the agent and keep serving the
+  /// plan they have.
   kInvalid,
 };
 

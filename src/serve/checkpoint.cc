@@ -462,7 +462,7 @@ std::shared_ptr<const infer::InferencePlan> FreezePlan(
   }
   infer::FreezeResult frozen = infer::InferencePlan::Freeze(*policy.agent);
   if (!frozen.ok()) {
-    S2R_LOG_WARN("FreezePlan: %s — serving stays on the double path",
+    S2R_LOG_WARN("FreezePlan: %s — the policy cannot be served",
                  frozen.error.c_str());
     return nullptr;
   }

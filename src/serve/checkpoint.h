@@ -106,11 +106,12 @@ LoadResult LoadCheckpointEx(const std::string& dir);
 /// LoadCheckpointEx without the status: nullptr on any failure.
 std::unique_ptr<LoadedPolicy> LoadCheckpoint(const std::string& dir);
 
-/// Checkpoint-load-time entry point for float32 serving: freezes the
-/// restored agent into an immutable infer::InferencePlan ready to hand
+/// Checkpoint-load-time entry point for serving: freezes the restored
+/// agent into an immutable float32 infer::InferencePlan ready to hand
 /// to InferenceServerConfig::plan / a ServeRouter. Returns null (with a
 /// logged warning) when the agent fails freeze validation — never
-/// aborts, so callers can fall back to the double path.
+/// aborts, so callers can refuse the policy and keep serving the old
+/// one.
 std::shared_ptr<const infer::InferencePlan> FreezePlan(
     const LoadedPolicy& policy);
 

@@ -118,14 +118,12 @@ SwapResult CheckpointWatcher::PollOnce() {
     return result;
   }
 
-  std::shared_ptr<const infer::InferencePlan> plan;
-  if (config_.precision == Precision::kFloat32) {
-    plan = FreezePlan(*loaded.policy);  // soft-fail, logs the reason
-    if (plan == nullptr) {
-      result.outcome = SwapOutcome::kFreezeFailed;
-      RejectLocked(candidate, "freeze failed");
-      return result;
-    }
+  std::shared_ptr<const infer::InferencePlan> plan =
+      FreezePlan(*loaded.policy);  // soft-fail, logs the reason
+  if (plan == nullptr) {
+    result.outcome = SwapOutcome::kFreezeFailed;
+    RejectLocked(candidate, "freeze failed");
+    return result;
   }
 
   if (!router_->SwapModel(loaded.policy->agent.get(), std::move(plan))) {

@@ -23,11 +23,6 @@ struct CheckpointWatcherConfig {
   std::string dir;
   /// Background poll cadence for Start(); PollOnce() ignores it.
   int poll_interval_ms = 1000;
-  /// Must match the router's shard precision: under kFloat32 the
-  /// watcher freezes an InferencePlan from each candidate before
-  /// swapping (and a freeze failure is a typed rollback, see
-  /// SwapOutcome::kFreezeFailed).
-  Precision precision = Precision::kDouble;
   /// Generation the router is serving at construction time (bundles at
   /// or below it are never candidates). 0 when the initial model did
   /// not come from a generation sequence.
@@ -51,9 +46,9 @@ enum class SwapOutcome {
   /// LoadCheckpointEx refused the candidate (SwapResult::load_status
   /// says why: corrupt, unsupported version, vanished directory).
   kLoadFailed,
-  /// kFloat32 only: the bundle loaded but InferencePlan::Freeze
-  /// rejected its parameters (non-finite, float32 overflow, shape
-  /// drift). The old plan keeps serving.
+  /// The bundle loaded but InferencePlan::Freeze rejected its
+  /// parameters (non-finite, float32 overflow, shape drift). The old
+  /// plan keeps serving.
   kFreezeFailed,
   /// ServeRouter::SwapModel refused: the candidate's session dims or
   /// obs_dim differ from the resident sessions' — swapping would
@@ -74,8 +69,8 @@ struct SwapResult {
 
 /// Closes the train->serve loop: polls a directory for new checkpoint
 /// generations, validates each candidate end to end (LoadCheckpointEx
-/// integrity + config checks, then a float32 freeze when serving
-/// frozen plans), and hot-swaps the router's model under its exclusive
+/// integrity + config checks, then the float32 freeze every shard
+/// serves from), and hot-swaps the router's model under its exclusive
 /// drain barrier — every resident session survives, including on
 /// shards the autoscaler adds later (they inherit the swapped plan).
 ///

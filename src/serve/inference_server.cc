@@ -1,7 +1,8 @@
 #include "serve/inference_server.h"
 
 #include <algorithm>
-#include <functional>
+#include <stdexcept>
+#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -26,33 +27,27 @@ SessionDims SessionDimsFor(const core::ContextAgent& agent) {
 }
 
 InferenceServer::InferenceServer(const core::ContextAgent* agent,
-                                 const InferenceServerConfig& config,
-                                 core::ThreadPool* pool)
-    : agent_(agent), config_(config), pool_(pool),
+                                 const InferenceServerConfig& config)
+    : agent_(agent), config_(config),
       epoch_(std::chrono::steady_clock::now()) {
   S2R_CHECK(agent != nullptr);
   S2R_CHECK(config.max_batch_size >= 1);
-  S2R_CHECK(config.max_queue_delay_us >= 0);
   S2R_CHECK(config.action_low.size() == config.action_high.size());
   S2R_CHECK(config.action_low.empty() ||
             static_cast<int>(config.action_low.size()) ==
                 agent->config().action_dim);
   store_ = std::make_unique<SessionStore>(SessionDimsFor(*agent),
                                           config.sessions);
-  if (config_.precision == Precision::kFloat32) {
-    plan_ = config_.plan;
-    if (plan_ == nullptr) {
-      infer::FreezeResult frozen = infer::InferencePlan::Freeze(*agent);
-      S2R_CHECK_MSG(frozen.ok(),
-                    ("float32 serving requested but the agent failed to "
-                     "freeze: " +
-                     frozen.error)
-                        .c_str());
-      plan_ = std::move(frozen.plan);
-    }
-    workspace_ = std::make_unique<infer::Workspace>(
-        plan_->CreateWorkspace(config_.max_batch_size));
+  plan_ = std::move(config_.plan);
+  if (plan_ == nullptr) {
+    infer::FreezeResult frozen = infer::InferencePlan::Freeze(*agent);
+    S2R_CHECK_MSG(frozen.ok(),
+                  ("the agent failed to freeze for serving: " + frozen.error)
+                      .c_str());
+    plan_ = std::move(frozen.plan);
   }
+  workspace_ = std::make_unique<infer::Workspace>(
+      plan_->CreateWorkspace(config_.max_batch_size));
   obs::MetricsRegistry& registry = config_.registry != nullptr
                                        ? *config_.registry
                                        : obs::MetricsRegistry::Global();
@@ -62,27 +57,22 @@ InferenceServer::InferenceServer(const core::ContextAgent* agent,
   metric_latency_us_ = registry.GetHistogram("serve.latency_us");
   metric_batch_occupancy_ = registry.GetHistogram("serve.batch_occupancy");
   metric_queue_depth_ = registry.GetGauge("serve.queue_depth");
-  if (config_.micro_batching) {
-    batcher_ = std::thread([this] { BatcherLoop(); });
-  }
 }
 
 InferenceServer::~InferenceServer() { Shutdown(); }
 
 void InferenceServer::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  queue_cv_.notify_all();
-  if (batcher_.joinable()) batcher_.join();
+  std::unique_lock<std::mutex> lock(mutex_);
+  stop_ = true;
+  // Requests queued before stop_ still get served: their callers run
+  // the remaining batches, and the last one signals drained_cv_.
+  drained_cv_.wait(lock, [&] { return !batch_running_ && queue_.empty(); });
 }
 
 bool InferenceServer::SwapModel(
     const core::ContextAgent* agent,
     std::shared_ptr<const infer::InferencePlan> plan) {
-  if (agent == nullptr) return false;
+  if (agent == nullptr || plan == nullptr) return false;
   // Session compatibility: resident recurrent state must remain
   // shape-valid under the new model, and the request contract
   // (obs_dim) must not change under live clients.
@@ -94,26 +84,18 @@ bool InferenceServer::SwapModel(
     return false;
   }
   if (agent->config().obs_dim != agent_->config().obs_dim) return false;
-  if (config_.precision == Precision::kFloat32 && plan == nullptr) {
-    return false;
-  }
 
-  // Both locks: serial_mutex_ fences the non-batching inline path,
-  // mutex_ fences the batcher (which holds it except while running
-  // ProcessBatch — and the caller's drain guarantee means no batch is
-  // running). Acquiring mutex_ here and releasing it before the
-  // batcher's next acquisition is what makes the new pointers visible
-  // to the batcher thread without any atomics on the hot path.
-  std::scoped_lock lock(serial_mutex_, mutex_);
-  S2R_CHECK_MSG(queue_.empty(),
-                "SwapModel with queued requests — caller failed to drain");
+  // The caller's drain guarantee means no batch is running. Releasing
+  // mutex_ here, before the next batch runner acquires it, is what
+  // makes the new pointers visible to that thread without any atomics
+  // on the hot path.
+  std::lock_guard<std::mutex> lock(mutex_);
+  S2R_CHECK_MSG(queue_.empty() && !batch_running_,
+                "SwapModel with requests in flight — caller failed to drain");
   agent_ = agent;
-  config_.plan = plan;
   plan_ = std::move(plan);
-  if (config_.precision == Precision::kFloat32) {
-    workspace_ = std::make_unique<infer::Workspace>(
-        plan_->CreateWorkspace(config_.max_batch_size));
-  }
+  workspace_ = std::make_unique<infer::Workspace>(
+      plan_->CreateWorkspace(config_.max_batch_size));
   return true;
 }
 
@@ -124,47 +106,38 @@ int64_t InferenceServer::NowMs() const {
 }
 
 ServeReply InferenceServer::Act(uint64_t user_id, const nn::Tensor& obs) {
-  S2R_CHECK(obs.rows() == 1);
-  S2R_CHECK(obs.cols() == agent_->config().obs_dim);
+  const int obs_dim = agent_->config().obs_dim;
+  if (obs.rows() != 1 || obs.cols() != obs_dim) {
+    throw std::invalid_argument(
+        "observation is [" + std::to_string(obs.rows()) + " x " +
+        std::to_string(obs.cols()) + "], the policy takes [1 x " +
+        std::to_string(obs_dim) + "]");
+  }
+  S2R_TRACE_SPAN("serve/act", "shard",
+                 static_cast<double>(config_.shard_id));
   Pending pending;
   pending.user_id = user_id;
   pending.obs = &obs;
   pending.enqueued = std::chrono::steady_clock::now();
   pending.trace_id = obs::CurrentTraceId();
 
-  if (!config_.micro_batching) {
-    // Serial reference path: one request, inline on the caller.
-    S2R_TRACE_SPAN("serve/act", "shard",
-                   static_cast<double>(config_.shard_id));
-    std::lock_guard<std::mutex> serial(serial_mutex_);
-    ProcessBatch({&pending});
-    const double latency_us =
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - pending.enqueued)
-            .count();
-    latency_.Record(latency_us);
-    if (obs::Enabled()) {
-      metric_latency_us_->RecordWithExemplar(
-          latency_us, pending.trace_id, "shard",
-          static_cast<double>(config_.shard_id), "batch", 1.0);
-    }
-    return pending.reply;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    S2R_CHECK_MSG(!stop_, "InferenceServer::Act after Shutdown");
-    queue_.push_back(&pending);
-    const int64_t depth =
-        queue_depth_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (obs::Enabled()) {
-      metric_queue_depth_->Set(static_cast<double>(depth));
-    }
-  }
-  queue_cv_.notify_one();
-
   std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] { return pending.done; });
+  S2R_CHECK_MSG(!stop_, "InferenceServer::Act after Shutdown");
+  queue_.push_back(&pending);
+  const int64_t depth =
+      queue_depth_.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (obs::Enabled()) {
+    metric_queue_depth_->Set(static_cast<double>(depth));
+  }
+  while (!pending.done) {
+    if (batch_running_) {
+      pending.wake.wait(lock);
+    } else {
+      // Idle server (or the batch ahead just finished and this request
+      // is the oldest still queued): this caller runs the next batch.
+      RunNextBatch(lock, pending);
+    }
+  }
   return pending.reply;
 }
 
@@ -172,68 +145,60 @@ void InferenceServer::EndSession(uint64_t user_id) {
   store_->Erase(user_id);
 }
 
-void InferenceServer::BatcherLoop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (true) {
-    queue_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stop_) return;  // drained
-      continue;
-    }
-    // A request is pending: hold the door open briefly for stragglers
-    // so concurrent callers coalesce into one forward pass.
-    if (config_.max_queue_delay_us > 0 &&
-        static_cast<int>(queue_.size()) < config_.max_batch_size) {
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(config_.max_queue_delay_us);
-      queue_cv_.wait_until(lock, deadline, [&] {
-        return stop_ ||
-               static_cast<int>(queue_.size()) >= config_.max_batch_size;
-      });
-    }
-    std::vector<Pending*> batch;
-    const int take = std::min(static_cast<int>(queue_.size()),
-                              config_.max_batch_size);
-    batch.reserve(take);
-    for (int i = 0; i < take; ++i) {
-      batch.push_back(queue_.front());
-      queue_.pop_front();
-    }
-    const int64_t depth =
-        queue_depth_.fetch_sub(take, std::memory_order_relaxed) - take;
+void InferenceServer::RunNextBatch(std::unique_lock<std::mutex>& lock,
+                                   const Pending& self) {
+  const int take = std::min(static_cast<int>(queue_.size()),
+                            config_.max_batch_size);
+  std::vector<Pending*> batch(queue_.begin(), queue_.begin() + take);
+  queue_.erase(queue_.begin(), queue_.begin() + take);
+  const int64_t depth =
+      queue_depth_.fetch_sub(take, std::memory_order_relaxed) - take;
+  if (obs::Enabled()) {
+    metric_queue_depth_->Set(static_cast<double>(depth));
+  }
+  batch_running_ = true;
+  lock.unlock();
+
+  {
+    S2R_TRACE_SPAN("serve/batch", "shard",
+                   static_cast<double>(config_.shard_id), "rows",
+                   static_cast<double>(take));
+    ProcessBatch(batch);
+  }
+  const auto fulfilled = std::chrono::steady_clock::now();
+  for (const Pending* p : batch) {
+    const double latency_us =
+        std::chrono::duration<double, std::micro>(fulfilled - p->enqueued)
+            .count();
+    latency_.Record(latency_us);
     if (obs::Enabled()) {
-      metric_queue_depth_->Set(static_cast<double>(depth));
+      metric_latency_us_->RecordWithExemplar(
+          latency_us, p->trace_id, "shard",
+          static_cast<double>(config_.shard_id), "batch",
+          static_cast<double>(take));
     }
-    lock.unlock();
+  }
 
-    {
-      S2R_TRACE_SPAN("serve/batch", "shard",
-                     static_cast<double>(config_.shard_id), "rows",
-                     static_cast<double>(batch.size()));
-      ProcessBatch(batch);
-    }
-
-    const auto fulfilled = std::chrono::steady_clock::now();
-    for (const Pending* p : batch) {
-      const double latency_us = std::chrono::duration<double, std::micro>(
-                                    fulfilled - p->enqueued)
-                                    .count();
-      latency_.Record(latency_us);
-      if (obs::Enabled()) {
-        metric_latency_us_->RecordWithExemplar(
-            latency_us, p->trace_id, "shard",
-            static_cast<double>(config_.shard_id), "batch",
-            static_cast<double>(batch.size()));
-      }
-    }
-    lock.lock();
-    for (Pending* p : batch) p->done = true;
-    done_cv_.notify_all();
+  lock.lock();
+  batch_running_ = false;
+  // Signalled under the lock: a caller cannot see done, return and
+  // destroy its Pending before the notify is through.
+  for (Pending* p : batch) {
+    p->done = true;
+    p->wake.notify_one();
+  }
+  if (!self.done) return;  // this caller runs the next batch itself
+  if (!queue_.empty()) {
+    // Hand the server to the oldest waiting request's caller: the next
+    // batch starts with that request.
+    queue_.front()->wake.notify_one();
+  } else if (stop_) {
+    drained_cv_.notify_all();
   }
 }
 
-void InferenceServer::ProcessBatch(const std::vector<Pending*>& batch) {
+void InferenceServer::ProcessBatch(
+    const std::vector<Pending*>& batch) noexcept {
   const int k = static_cast<int>(batch.size());
   S2R_CHECK(k >= 1);
   const int64_t now_ms = NowMs();
@@ -247,17 +212,7 @@ void InferenceServer::ProcessBatch(const std::vector<Pending*>& batch) {
     sessions[i] = store_->Acquire(batch[i]->user_id, now_ms);
   }
 
-  const auto run_rows = [&](const std::function<void(int)>& fn) {
-    if (pool_ != nullptr && k > 1) {
-      pool_->ParallelFor(k, fn);
-    } else {
-      for (int i = 0; i < k; ++i) fn(i);
-    }
-  };
-
-  // Pack per-user rows into one batch (row i belongs to request i —
-  // writes never alias, so the pool fan-out is race-free and the
-  // result is independent of the thread count).
+  // Pack per-user rows into one batch (row i belongs to request i).
   nn::Tensor obs(k, config.obs_dim);
   core::ContextAgent::ServeBatch state;
   if (dims.hidden > 0) {
@@ -265,28 +220,27 @@ void InferenceServer::ProcessBatch(const std::vector<Pending*>& batch) {
     if (dims.has_cell) state.c = nn::Tensor(k, dims.hidden);
   }
   state.prev_actions = nn::Tensor(k, dims.action_dim);
-  run_rows([&](int i) {
+  for (int i = 0; i < k; ++i) {
     obs.SetRow(i, *batch[i]->obs);
     if (dims.hidden > 0) {
       state.h.SetRow(i, sessions[i].h);
       if (dims.has_cell) state.c.SetRow(i, sessions[i].c);
     }
     state.prev_actions.SetRow(i, sessions[i].prev_action);
-  });
+  }
 
-  // One coalesced forward pass (policy + value + extractor + SADAE).
+  // One batched forward pass (policy + value + extractor + SADAE).
   core::ContextAgent::ServeOutput out;
   {
     S2R_TRACE_SPAN("serve/forward", "shard",
                    static_cast<double>(config_.shard_id), "rows",
                    static_cast<double>(k));
-    out = plan_ != nullptr ? plan_->ServeStep(obs, &state, workspace_.get())
-                           : agent_->ServeStep(obs, &state);
+    out = plan_->ServeStep(obs, &state, workspace_.get());
   }
 
   // Unpack: advance each session, apply the F_exec guard, fill replies.
   const bool guard = !config_.action_low.empty();
-  run_rows([&](int i) {
+  for (int i = 0; i < k; ++i) {
     Session& session = sessions[i];
     if (dims.hidden > 0) {
       session.h = state.h.Row(i);
@@ -319,9 +273,10 @@ void InferenceServer::ProcessBatch(const std::vector<Pending*>& batch) {
         if (obs::Enabled()) metric_exec_clamps_->Add(1);
       }
     }
-  });
+  }
 
-  // Opt-in trajectory logging, serially (one producer per sink) and
+  // Opt-in trajectory logging, serially (one producer at a time per
+  // sink: only the thread running this batch appends) and
   // strictly read-only on the reply: the logged action is the
   // post-guard action the caller receives, the reward slot carries the
   // critic's value estimate (serving observes no environment reward),

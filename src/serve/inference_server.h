@@ -8,11 +8,9 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "core/context_agent.h"
-#include "core/thread_pool.h"
 #include "infer/plan.h"
 #include "obs/metrics.h"
 #include "serve/metrics.h"
@@ -24,29 +22,13 @@ namespace serve {
 
 class TrajectorySink;
 
-/// Numeric path of the serving forward pass.
-enum class Precision {
-  /// Double-precision nn::Module ServeStep — the reference path. Keeps
-  /// the bitwise batched==serial contract bench/micro_serve pins.
-  kDouble,
-  /// Frozen float32 infer::InferencePlan with SIMD kernels (runtime
-  /// AVX2 dispatch, scalar fallback). Answers track the double path to
-  /// float32 tolerance (~1e-4, checked in tests/infer_test.cc); each row
-  /// is still computed independently, so batched-vs-serial stays exactly
-  /// equal per row.
-  kFloat32,
-};
-
 struct InferenceServerConfig {
-  /// Micro-batching: coalesce up to `max_batch_size` concurrent Act()
-  /// calls into one batched forward pass, waiting at most
-  /// `max_queue_delay_us` for stragglers once a request is pending.
-  /// With micro_batching false every request runs alone, synchronously
-  /// on the calling thread — the serial reference path the batched mode
-  /// is bitwise-checked against.
+  /// Batch-when-busy: a request that finds the server idle runs at once
+  /// on its caller's thread; requests that arrive while a batch runs
+  /// go out together as the next batch, up to `max_batch_size` rows.
+  /// Batches form only from real overlap — nothing waits for
+  /// stragglers.
   int max_batch_size = 16;
-  int max_queue_delay_us = 200;
-  bool micro_batching = true;
 
   /// Serving-time F_exec guard (mirrors sim/filters): actions outside
   /// the executable box [low - tolerance, high + tolerance] are clamped
@@ -58,16 +40,12 @@ struct InferenceServerConfig {
   std::vector<double> action_high;
   double exec_tolerance = 0.02;
 
-  /// Forward-pass numerics; see Precision. kFloat32 buys ~4x+ request
-  /// throughput on AVX2 hardware (bench/micro_serve prints the table).
-  Precision precision = Precision::kDouble;
-  /// Pre-frozen plan to serve from under kFloat32. A ServeRouter
-  /// freezes the agent once and hands this same immutable plan to every
-  /// shard, so N shards share one copy of the packed weights. Null with
-  /// kFloat32 makes the server freeze its own plan at construction
-  /// (aborts if the agent fails validation — callers wanting a soft
-  /// fallback freeze first and check FreezeResult themselves). Ignored
-  /// under kDouble.
+  /// Pre-frozen float32 plan to serve from. A ServeRouter freezes the
+  /// agent once and hands this same immutable plan to every shard, so N
+  /// shards share one copy of the packed weights. Null makes the server
+  /// freeze its own plan at construction (aborts if the agent fails
+  /// validation — callers wanting a soft failure freeze first with
+  /// serve::FreezePlan and check the result themselves).
   std::shared_ptr<const infer::InferencePlan> plan;
 
   SessionStoreConfig sessions;
@@ -85,7 +63,7 @@ struct InferenceServerConfig {
 
   /// Opt-in trajectory logging: when non-null, every served request
   /// appends its (obs, action, value, step) tuple to this sink from
-  /// the batch-processing thread (see serve/trajectory_log.h). Null
+  /// whichever thread runs its batch (see serve/trajectory_log.h). Null
   /// (the default) records nothing. The sink's owner (TrajectoryLog)
   /// must outlive the server. Determinism-neutral: replies are
   /// bitwise-identical with or without a sink.
@@ -98,9 +76,8 @@ struct InferenceServerConfig {
 struct InferenceServerStats {
   int64_t requests = 0;
   int64_t batches = 0;
-  /// Requests enqueued but not yet batched (instantaneous; 0 on the
-  /// serial path, which has no queue). The overload signal the
-  /// Autoscaler and ops runbook watch.
+  /// Requests enqueued but not yet in a batch (instantaneous). The
+  /// overload signal the Autoscaler and ops runbook watch.
   int64_t queue_depth = 0;
   double mean_batch_occupancy = 0.0;
   int max_batch = 0;
@@ -113,61 +90,64 @@ struct InferenceServerStats {
   SessionStore::Stats sessions;
 };
 
-/// Micro-batched policy-serving front end over a checkpointed
-/// ContextAgent: Act(user_id, obs) gathers the user's recurrent state
-/// from the SessionStore, rides a coalesced batched ServeStep, applies
-/// the F_exec guard, commits the advanced state, and returns the
-/// action. Because ServeStep is row-decomposable (each user's SADAE
-/// set is their own singleton), the answers are bitwise-identical to
-/// serving every request alone, whatever batch compositions the queue
-/// happens to produce.
+/// Batching policy-serving front end over a checkpointed ContextAgent:
+/// Act(user_id, obs) gathers the user's recurrent state from the
+/// SessionStore, rides a batched forward through the frozen float32
+/// infer::InferencePlan, applies the F_exec guard, commits the advanced
+/// state, and returns the action. The plan computes every row
+/// independently (each user's SADAE set is their own singleton), so the
+/// answers are bitwise-identical to serving every request alone,
+/// whatever batch compositions concurrent callers happen to produce.
 ///
-/// Threading: Act() is safe from any number of client threads; a
-/// single internal batcher thread owns the forward pass. The optional
-/// core::ThreadPool parallelizes batch assembly and post-processing
-/// (gather/scatter/guard) across rows; it must be dedicated to this
-/// server (a ThreadPool allows one driving thread at a time). The
-/// caller keeps ownership of agent and pool; both must outlive the
-/// server. Requests of a single user are expected to be sequential
-/// (session affinity) — concurrent same-user requests stay memory-safe
-/// but race on the session state, last commit wins.
+/// Threading: Act() is safe from any number of client threads, and the
+/// callers run the batches themselves. One batch runs at a time: a
+/// caller that finds no batch running takes up to max_batch_size
+/// requests from the front of the queue, runs them outside the lock
+/// and wakes their callers; everyone else waits for a running batch to
+/// finish, and a waiter whose request is still queued runs the next
+/// batch. A lone caller therefore never waits, and commits stay in
+/// arrival order. The caller keeps ownership of the agent, which must
+/// outlive the server. Requests of a single user are expected to be
+/// sequential (session affinity) — concurrent same-user requests stay
+/// memory-safe but race on the session state, last commit wins.
 class InferenceServer : public PolicyService {
  public:
   InferenceServer(const core::ContextAgent* agent,
-                  const InferenceServerConfig& config,
-                  core::ThreadPool* pool = nullptr);
+                  const InferenceServerConfig& config);
   ~InferenceServer() override;
 
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
 
   /// Serves one observation for one user; blocks until the reply is
-  /// computed. `obs` is [1 x obs_dim].
+  /// computed. Throws std::invalid_argument, before queueing anything,
+  /// unless `obs` is [1 x obs_dim].
   ServeReply Act(uint64_t user_id, const nn::Tensor& obs) override;
 
   /// Ends a user's session (drops stored recurrent state).
   void EndSession(uint64_t user_id) override;
 
-  /// Stops the batcher thread after draining queued requests. Called by
-  /// the destructor; idempotent.
+  /// Refuses further requests and waits until every queued request has
+  /// been served and no batch runs. Called by the destructor;
+  /// idempotent. Act() after Shutdown() is a checked error.
   void Shutdown();
 
   /// Atomically replaces the served model while keeping every resident
   /// session. The caller must guarantee no Act() is in flight on this
   /// server (a ServeRouter calls this under its exclusive drain
   /// barrier). Returns false — changing nothing — when the new agent is
-  /// session-incompatible: different SessionDims or obs_dim (resident
-  /// recurrent state would be shape-invalid), or a null `plan` under
-  /// kFloat32. `agent` must outlive the server; `plan` is the
-  /// pre-frozen float32 plan (ignored under kDouble).
+  /// session-incompatible (different SessionDims or obs_dim: resident
+  /// recurrent state would be shape-invalid) or `plan`, the float32
+  /// plan frozen from `agent`, is null. `agent` must outlive the
+  /// server.
   bool SwapModel(const core::ContextAgent* agent,
                  std::shared_ptr<const infer::InferencePlan> plan);
 
   InferenceServerStats stats() const;
   SessionStore& sessions() { return *store_; }
   const core::ContextAgent& agent() const { return *agent_; }
-  /// The frozen plan this server forwards through, or null on the
-  /// double path. Shards of one router return the same pointer.
+  /// The frozen plan this server forwards through. Shards of one router
+  /// return the same pointer.
   const infer::InferencePlan* plan() const { return plan_.get(); }
   /// Shared ownership of the same — lets a hot-swap observer keep a
   /// superseded plan alive so before/after pointer comparisons can't be
@@ -183,43 +163,50 @@ class InferenceServer : public PolicyService {
     const nn::Tensor* obs = nullptr;
     std::chrono::steady_clock::time_point enqueued;
     /// Caller's obs::CurrentTraceId() captured at Act() entry — the
-    /// batcher thread records the latency exemplar, so the id must
-    /// travel with the request, not sit in a thread-local.
+    /// thread that runs the batch records the latency exemplar, so the
+    /// id must travel with the request, not sit in a thread-local.
     uint64_t trace_id = 0;
     ServeReply reply;
     bool done = false;
+    /// Wakes this request's caller: its reply is ready, or its request
+    /// is now the oldest queued one and no batch runs, so the caller
+    /// runs the next batch. Signalled only under mutex_.
+    std::condition_variable wake;
   };
 
-  void BatcherLoop();
-  /// Runs one coalesced batch end-to-end (gather, forward, guard,
-  /// commit) and fills each request's reply. Does not signal waiters.
-  void ProcessBatch(const std::vector<Pending*>& batch);
+  /// Takes up to max_batch_size requests from the front of the queue,
+  /// runs them outside `lock` and wakes their callers. `self` is the
+  /// running caller's own request. Caller holds `lock` on mutex_ with
+  /// no batch running; holds it again on return.
+  void RunNextBatch(std::unique_lock<std::mutex>& lock, const Pending& self);
+  /// Runs one batch end-to-end (gather, forward, guard, commit) and
+  /// fills each request's reply. Does not signal waiters. Nothing in it
+  /// throws by design; an allocation failure terminates rather than
+  /// leave the server marked busy forever.
+  void ProcessBatch(const std::vector<Pending*>& batch) noexcept;
   int64_t NowMs() const;
 
   const core::ContextAgent* agent_;
   InferenceServerConfig config_;
-  core::ThreadPool* pool_;
   std::unique_ptr<SessionStore> store_;
-  // Float32 path: immutable shared plan + this server's private
-  // workspace. Only the thread that runs ProcessBatch touches the
-  // workspace (the batcher thread, or callers serialized by
-  // serial_mutex_ when micro-batching is off).
+  // Immutable shared plan + this server's private workspace. Only the
+  // thread running the current batch touches the workspace, the
+  // store's arrival-order LRU bookkeeping and the trajectory sink; the
+  // next runner takes them over under mutex_ (see batch_running_).
   std::shared_ptr<const infer::InferencePlan> plan_;
   std::unique_ptr<infer::Workspace> workspace_;
 
   std::mutex mutex_;
-  std::condition_variable queue_cv_;  // batcher waits for requests
-  std::condition_variable done_cv_;   // clients wait for replies
+  std::condition_variable drained_cv_;  // Shutdown waits for the drain
   std::deque<Pending*> queue_;
+  bool batch_running_ = false;
   bool stop_ = false;
-  std::thread batcher_;
-  std::mutex serial_mutex_;  // serializes non-batching inline requests
 
   LatencyHistogram latency_;
   BatchOccupancy occupancy_;
   std::atomic<int64_t> exec_clamps_{0};
   // Lock-free mirror of queue_.size() so stats() and the autoscaler
-  // never touch the batcher mutex.
+  // never touch the batching mutex.
   std::atomic<int64_t> queue_depth_{0};
 
   // serve.* metrics resolved once at construction against the

@@ -13,7 +13,7 @@ struct ServeReply {
   nn::Tensor action;        // [1 x action_dim], after the F_exec guard
   bool exec_clamped = false;
   double value = 0.0;       // critic estimate (diagnostics)
-  int batch_size = 0;       // size of the micro-batch this rode in
+  int batch_size = 0;       // rows of the batch this rode in
 };
 
 /// The abstract serving API: anything that can answer
@@ -26,7 +26,8 @@ struct ServeReply {
 ///
 /// Contract for implementations:
 ///  * Act blocks until the reply is computed; `obs` is [1 x obs_dim]
-///    and must stay valid for the duration of the call.
+///    and must stay valid for the duration of the call. Any other
+///    shape throws std::invalid_argument and changes no state.
 ///  * Act is safe from any number of client threads; requests of a
 ///    single user are expected to be sequential (session affinity).
 ///  * EndSession drops the user's recurrent state; the next Act for

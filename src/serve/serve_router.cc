@@ -27,24 +27,14 @@ ServeRouter::ServeRouter(const core::ContextAgent* agent,
     : agent_(agent), config_(config), ring_(config.virtual_nodes) {
   S2R_CHECK(agent != nullptr);
   S2R_CHECK(initial_shards >= 1);
-  if (config_.shard.precision == Precision::kFloat32 &&
-      config_.shard.plan == nullptr) {
-    // Freeze once; MakeShard copies this config, so every shard —
-    // including ones added later — shares the same immutable plan
-    // instead of freezing its own copy of the weights.
-    infer::FreezeResult frozen = infer::InferencePlan::Freeze(*agent);
-    S2R_CHECK_MSG(frozen.ok(),
-                  ("float32 serving requested but the agent failed to "
-                   "freeze: " +
-                   frozen.error)
-                      .c_str());
-    config_.shard.plan = std::move(frozen.plan);
-    S2R_LOG_INFO("serve_router: frozen shared %s",
-                 config_.shard.plan->Describe().c_str());
-  }
   for (int id = 0; id < initial_shards; ++id) {
     shards_.emplace(id, MakeShard(id));
     ring_.AddNode(id);
+    // Shard 0 freezes the agent unless the config brought a plan.
+    // MakeShard copies this config, so every other shard, including
+    // ones AddShard builds later, shares that one immutable plan
+    // instead of freezing its own copy of the weights.
+    config_.shard.plan = shards_.at(id).server->plan_handle();
   }
 }
 
@@ -57,8 +47,9 @@ ServeRouter::Shard ServeRouter::MakeShard(int shard_id) const {
   config.registry = shard.registry.get();
   config.shard_id = shard_id;
   if (config_.trajectory_log != nullptr) {
-    // Per-shard sink: InferenceServer guarantees one producer (its
-    // batch-processing thread), which is exactly the SPSC contract.
+    // Per-shard sink: InferenceServer runs one batch at a time and hands
+    // the sink to the next batch runner under its mutex, so the sink
+    // sees one producer at a time — exactly the SPSC contract.
     config.trajectory_sink = config_.trajectory_log->OpenSink(shard_id);
   }
   shard.server = std::make_unique<InferenceServer>(agent_, config);
@@ -119,7 +110,7 @@ bool ServeRouter::RemoveShard(int shard_id) {
                  static_cast<double>(shard_id), "add", 0.0);
   ring_.RemoveNode(shard_id);
   // The exclusive lock guarantees no request is in flight and the
-  // shard's queue is empty; Shutdown just parks its batcher thread.
+  // shard's queue is empty; Shutdown just confirms the drain.
   Shard& leaving = shards_.at(shard_id);
   leaving.server->Shutdown();
   // Off the ring the shard owns nothing, so this spills every resident

@@ -23,9 +23,10 @@ class TrajectoryLog;
 struct ServeRouterConfig {
   /// Template configuration for every shard's InferenceServer. The
   /// router overrides `registry` (each shard gets its own registry, the
-  /// stand-in for a per-process one) and `shard_id`; everything else —
-  /// batching, F_exec guard, session caps — applies to each shard
-  /// as-is, so `sessions.max_bytes` is a *per-shard* cap.
+  /// stand-in for a per-process one) and `shard_id`, and fills a null
+  /// `plan` by freezing the agent once for every shard to share;
+  /// everything else — batching, F_exec guard, session caps — applies
+  /// to each shard as-is, so `sessions.max_bytes` is a *per-shard* cap.
   InferenceServerConfig shard;
   /// Virtual nodes per shard on the consistent-hash ring.
   int virtual_nodes = HashRing::kDefaultVirtualNodes;
@@ -103,8 +104,7 @@ class ServeRouter : public PolicyService {
   /// serving the old model. Shards added after a successful swap (the
   /// autoscaler path) are built on the new agent and plan. `agent` must
   /// outlive the router (a CheckpointWatcher owns it); `plan` is the
-  /// pre-frozen float32 plan, required under kFloat32 shards and
-  /// ignored under kDouble.
+  /// float32 plan frozen from it — a null plan returns false.
   bool SwapModel(const core::ContextAgent* agent,
                  std::shared_ptr<const infer::InferencePlan> plan);
 

@@ -23,8 +23,9 @@ namespace serve {
 /// takes a lock or touches the filesystem.
 ///
 /// Dataflow:
-///   Act hot path (per shard, single producer = the shard's batcher
-///   thread) --Append--> TrajectorySink SPSC ring
+///   Act hot path (per shard, one producer at a time = whichever
+///   caller runs the shard's current batch) --Append--> TrajectorySink
+///   SPSC ring
 ///   --TrajectoryLog::Flush (any one caller thread)--> CRC-framed
 ///   binary segments on disk (staged tmp+rename, like checkpoint and
 ///   session-snapshot writes)
@@ -53,9 +54,11 @@ struct TrajectoryLogConfig {
   obs::MetricsRegistry* registry = nullptr;
 };
 
-/// One shard's lock-free single-producer/single-consumer ring. The
-/// producer is the shard's batch-processing thread (InferenceServer
-/// runs ProcessBatch on exactly one thread at a time); the consumer is
+/// One shard's lock-free single-producer/single-consumer ring. There is
+/// one producer at a time: the caller thread running the shard's
+/// current batch (InferenceServer runs one batch at a time and hands
+/// the server to the next batch runner under its mutex, which orders
+/// one producer's appends before the next one's). The consumer is
 /// whoever calls TrajectoryLog::Flush. Append is wait-free: a full
 /// ring increments the drop counter and returns.
 class TrajectorySink {

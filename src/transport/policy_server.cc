@@ -1,6 +1,7 @@
 #include "transport/policy_server.h"
 
 #include <chrono>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/snapshot_codec.h"
@@ -411,6 +412,11 @@ bool PolicyServer::HandleFrame(ConnState& conn, const FrameHeader& header,
         S2R_TRACE_SPAN("transport/act", "user",
                        static_cast<double>(user_id));
         reply = service_->Act(user_id, obs);
+      } catch (const std::invalid_argument& e) {
+        // Well-framed but the wrong observation width for this policy:
+        // the request's fault, not the server's.
+        SendError(conn, WireError::kBadPayload, e.what(), id);
+        return true;
       } catch (const std::exception& e) {
         // A throwing backend (fault injection, transient shard trouble)
         // fails this request only: typed error frame, connection — and

@@ -34,9 +34,9 @@ struct PolicyServerConfig {
   /// connection at a time (it reads frames and hands each request to
   /// the dispatch pool), so this is also the number of clients served
   /// concurrently; size it at least to the expected client count. The
-  /// micro-batching InferenceServer behind the transport is what
-  /// coalesces concurrency, so a handful of workers front a much
-  /// larger user population.
+  /// batching InferenceServer behind the transport is what coalesces
+  /// concurrency, so a handful of workers front a much larger user
+  /// population.
   int num_workers = 4;
   /// Accepted connections waiting for a free worker. Beyond this the
   /// accept loop closes new connections immediately (graceful
@@ -45,7 +45,7 @@ struct PolicyServerConfig {
 
   /// Threads executing dispatched requests, shared across all
   /// connections and lanes. They are what lets one pipelined
-  /// connection have several Acts inside the micro-batcher at once.
+  /// connection have several Acts inside the batching server at once.
   int dispatch_threads = 4;
   /// Per-connection cap on dispatched-but-unanswered requests. The
   /// reader stops pulling frames off a connection that has this many
@@ -118,8 +118,9 @@ struct PolicyServerStats {
 /// requests drain — a byte stream whose framing failed or whose header
 /// length is unknown cannot be resynchronized — but the server itself
 /// never aborts and other connections are unaffected. Well-framed but
-/// unintelligible requests (unknown type, undecodable payload) get a
-/// kError reply and the connection stays usable.
+/// unintelligible requests (unknown type, undecodable payload, an
+/// observation of the wrong width for the served policy) get a kError
+/// reply and the connection stays usable.
 ///
 /// Shutdown: Start()/Shutdown() bracket the serving window. Shutdown
 /// stops accepting, lets every in-flight request finish and its reply

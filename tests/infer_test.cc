@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -457,44 +458,38 @@ TEST(Freeze, CheckpointFreezePlanEntryPoint) {
 }
 
 // ---------------------------------------------------------------------------
-// Serving integration: float32 servers answer within tolerance of the
-// double path, and all shards of one router share one plan.
+// Serving integration: servers answer within float32 tolerance of the
+// double ContextAgent::ServeStep, and all shards of one router share one
+// plan.
 // ---------------------------------------------------------------------------
-
-serve::InferenceServerConfig BaseServerConfig() {
-  serve::InferenceServerConfig config;
-  config.max_batch_size = 8;
-  config.max_queue_delay_us = 0;
-  config.micro_batching = false;  // deterministic inline serving
-  return config;
-}
 
 TEST(ServerPrecision, Float32TracksDoubleWithinTolerance) {
   AgentBundle bundle = MakeAgent(Variant::kLstmSadae);
-  serve::InferenceServerConfig double_config = BaseServerConfig();
-  serve::InferenceServerConfig f32_config = BaseServerConfig();
-  f32_config.precision = serve::Precision::kFloat32;
-  serve::InferenceServer double_server(bundle.agent.get(), double_config);
-  serve::InferenceServer f32_server(bundle.agent.get(), f32_config);
-  EXPECT_EQ(double_server.plan(), nullptr);
-  ASSERT_NE(f32_server.plan(), nullptr);
+  serve::InferenceServer server(bundle.agent.get(),
+                                serve::InferenceServerConfig{});
+  ASSERT_NE(server.plan(), nullptr);
 
+  // The double reference threads each user's recurrent state through
+  // ServeStep itself, exactly as the server's session store does.
+  std::map<uint64_t, core::ContextAgent::ServeBatch> reference_state;
   Rng rng(17);
   for (int t = 0; t < 20; ++t) {
     const uint64_t user = 100 + (t % 4);  // 4 users, 5 steps each
     const nn::Tensor obs = nn::Tensor::Randn(1, kObsDim, rng, 0.2, 1.0);
-    const serve::ServeReply ref = double_server.Act(user, obs);
-    const serve::ServeReply got = f32_server.Act(user, obs);
-    EXPECT_LT(nn::MaxAbsDiff(ref.action, got.action), kTol);
-    EXPECT_NEAR(ref.value, got.value, kTol);
+    auto [it, fresh] = reference_state.try_emplace(user);
+    if (fresh) it->second = bundle.agent->InitialServeBatch(1);
+    const core::ContextAgent::ServeOutput ref =
+        bundle.agent->ServeStep(obs, &it->second);
+    const serve::ServeReply got = server.Act(user, obs);
+    EXPECT_LT(nn::MaxAbsDiff(ref.actions, got.action), kTol);
+    EXPECT_NEAR(ref.values(0, 0), got.value, kTol);
   }
 }
 
 TEST(ServerPrecision, RouterShardsShareOneFrozenPlan) {
   AgentBundle bundle = MakeAgent(Variant::kLstmSadaeStateAction);
   serve::ServeRouterConfig config;
-  config.shard = BaseServerConfig();
-  config.shard.precision = serve::Precision::kFloat32;
+  config.shard.max_batch_size = 8;
   serve::ServeRouter router(bundle.agent.get(), config, 3);
 
   const InferencePlan* shared = nullptr;

@@ -59,7 +59,6 @@ struct TinyAgent {
 
 serve::ServeRouterConfig SmallRouterConfig() {
   serve::ServeRouterConfig config;
-  config.shard.micro_batching = false;  // serial path: fast, no batcher
   config.shard.sessions.ttl_ms = 0;
   config.shard.sessions.max_bytes = size_t{64} << 20;
   return config;

@@ -454,7 +454,6 @@ TEST(TraceRecorder, ServingRunExportsValidTraceWithDistinctSpans) {
   core::ContextAgent agent(config, nullptr, rng);
 
   serve::InferenceServerConfig server_config;
-  server_config.micro_batching = false;  // serial path: deterministic
   server_config.action_low = {0.0};
   server_config.action_high = {1.0};
   serve::InferenceServer server(&agent, server_config);

@@ -426,7 +426,7 @@ TEST(SessionStore, ConcurrentAccessIsSafe) {
 }
 
 // ---------------------------------------------------------------------------
-// InferenceServer: micro-batching identity and the F_exec guard.
+// InferenceServer: batching identity and the F_exec guard.
 // ---------------------------------------------------------------------------
 
 /// Per-(user, step) deterministic observation, distinct across users so a
@@ -439,59 +439,105 @@ nn::Tensor ObsFor(int user, int step) {
   return obs;
 }
 
+/// Serves `steps` steps for each of `users` users from one thread, user
+/// by user, on a fresh server: every batch has exactly one row.
+std::vector<std::vector<nn::Tensor>> OneThreadReference(
+    const core::ContextAgent& agent, int users, int steps) {
+  InferenceServer server(&agent, InferenceServerConfig{});
+  std::vector<std::vector<nn::Tensor>> reference(users);
+  for (int u = 0; u < users; ++u) {
+    for (int t = 0; t < steps; ++t) {
+      reference[u].push_back(server.Act(u, ObsFor(u, t)).action);
+    }
+  }
+  const InferenceServerStats stats = server.stats();
+  // A lone caller never waits for stragglers: each request is a batch.
+  EXPECT_EQ(stats.requests, users * steps);
+  EXPECT_EQ(stats.batches, stats.requests);
+  EXPECT_EQ(stats.max_batch, 1);
+  return reference;
+}
+
+/// Drives `callers` threads, thread u serving user u for `steps` steps,
+/// and returns each user's action stream.
+std::vector<std::vector<nn::Tensor>> ConcurrentRun(InferenceServer& server,
+                                                   int callers, int steps) {
+  std::vector<std::vector<nn::Tensor>> answers(callers);
+  std::vector<std::thread> clients;
+  for (int u = 0; u < callers; ++u) {
+    clients.emplace_back([&server, &answers, u, steps] {
+      for (int t = 0; t < steps; ++t) {
+        answers[u].push_back(server.Act(u, ObsFor(u, t)).action);
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+  return answers;
+}
+
+void ExpectSameStreams(const std::vector<std::vector<nn::Tensor>>& want,
+                       const std::vector<std::vector<nn::Tensor>>& got) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t u = 0; u < want.size(); ++u) {
+    ASSERT_EQ(got[u].size(), want[u].size());
+    for (size_t t = 0; t < want[u].size(); ++t) {
+      EXPECT_TRUE(BitwiseEqual(want[u][t], got[u][t]))
+          << "user=" << u << " step=" << t;
+    }
+  }
+}
+
 TEST(InferenceServer, BatchedIsBitwiseIdenticalToSerial) {
   Rng rng(51);
   sadae::Sadae sadae_model(TinySadaeConfig(), rng);
   core::ContextAgent agent(TinySim2RecConfig(), &sadae_model, rng);
 
-  constexpr int kUsers = 6;
+  constexpr int kCallers = 8;
   constexpr int kSteps = 5;
+  const std::vector<std::vector<nn::Tensor>> reference =
+      OneThreadReference(agent, kCallers, kSteps);
 
-  InferenceServerConfig serial_config;
-  serial_config.micro_batching = false;
-  InferenceServer serial(&agent, serial_config);
-
-  InferenceServerConfig batched_config;
-  batched_config.micro_batching = true;
-  batched_config.max_batch_size = kUsers;
-  batched_config.max_queue_delay_us = 2000;
-  InferenceServer batched(&agent, batched_config);
-
-  // Serial reference: one user at a time, whole stream each.
-  std::vector<std::vector<nn::Tensor>> reference(kUsers);
-  for (int u = 0; u < kUsers; ++u) {
-    for (int t = 0; t < kSteps; ++t) {
-      reference[u].push_back(serial.Act(u, ObsFor(u, t)).action);
-    }
+  // Concurrent runs: all users in flight at once, so requests that
+  // arrive while a batch runs go out together as the next batch. Repeat
+  // on fresh servers until the scheduler actually produced a batch of
+  // two or more rows — every round must match the reference bitwise,
+  // whatever batch compositions it happened to produce.
+  InferenceServerConfig config;
+  config.max_batch_size = kCallers;
+  int max_batch = 0;
+  for (int round = 0; round < 50 && max_batch < 2; ++round) {
+    InferenceServer server(&agent, config);
+    ExpectSameStreams(reference, ConcurrentRun(server, kCallers, kSteps));
+    const InferenceServerStats stats = server.stats();
+    EXPECT_EQ(stats.requests, kCallers * kSteps);
+    EXPECT_LE(stats.max_batch, kCallers);
+    EXPECT_GE(stats.latency_p99_us, stats.latency_p50_us);
+    max_batch = stats.max_batch;
   }
+  EXPECT_GE(max_batch, 2) << "overlapping requests never coalesced";
+}
 
-  // Batched run: all users in flight concurrently, requests coalesced
-  // into micro-batches of whatever composition the queue produces.
-  std::vector<std::vector<nn::Tensor>> answers(kUsers);
-  std::vector<std::thread> clients;
-  for (int u = 0; u < kUsers; ++u) {
-    clients.emplace_back([&batched, &answers, u] {
-      for (int t = 0; t < kSteps; ++t) {
-        answers[u].push_back(batched.Act(u, ObsFor(u, t)).action);
-      }
-    });
-  }
-  for (auto& th : clients) th.join();
+TEST(InferenceServer, BacklogLongerThanMaxBatchIsFullyServed) {
+  Rng rng(52);
+  sadae::Sadae sadae_model(TinySadaeConfig(), rng);
+  core::ContextAgent agent(TinySim2RecConfig(), &sadae_model, rng);
 
-  for (int u = 0; u < kUsers; ++u) {
-    ASSERT_EQ(answers[u].size(), static_cast<size_t>(kSteps));
-    for (int t = 0; t < kSteps; ++t) {
-      EXPECT_TRUE(BitwiseEqual(reference[u][t], answers[u][t]))
-          << "user=" << u << " step=" << t;
-    }
-  }
+  constexpr int kCallers = 8;
+  constexpr int kSteps = 20;
+  const std::vector<std::vector<nn::Tensor>> reference =
+      OneThreadReference(agent, kCallers, kSteps);
 
-  const InferenceServerStats stats = batched.stats();
-  EXPECT_EQ(stats.requests, kUsers * kSteps);
-  EXPECT_GE(stats.batches, 1);
-  EXPECT_LE(stats.batches, stats.requests);
-  EXPECT_GE(stats.mean_batch_occupancy, 1.0);
-  EXPECT_GE(stats.latency_p99_us, stats.latency_p50_us);
+  // Eight callers against two-row batches: whenever more than two
+  // requests queue up behind a running batch, a waiter whose request
+  // was left out must run a later batch itself.
+  InferenceServerConfig config;
+  config.max_batch_size = 2;
+  InferenceServer server(&agent, config);
+  ExpectSameStreams(reference, ConcurrentRun(server, kCallers, kSteps));
+  const InferenceServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests, kCallers * kSteps);
+  EXPECT_LE(stats.max_batch, 2);
+  EXPECT_EQ(stats.queue_depth, 0);
 }
 
 TEST(InferenceServer, ExecGuardClampsAndFlags) {
@@ -504,7 +550,6 @@ TEST(InferenceServer, ExecGuardClampsAndFlags) {
   core::ContextAgent agent(config, nullptr, rng);
 
   InferenceServerConfig server_config;
-  server_config.micro_batching = false;
   server_config.action_low = {0.0};
   server_config.action_high = {1.0};
   server_config.exec_tolerance = 0.02;
@@ -528,7 +573,6 @@ TEST(InferenceServer, SessionsEndAndEvictionsSurfaceInStats) {
   core::ContextAgent agent(config, &sadae_model, rng);
 
   InferenceServerConfig server_config;
-  server_config.micro_batching = false;
   // Tiny cap: only a couple of sessions stay resident.
   server_config.sessions.max_bytes = 1;
   InferenceServer server(&agent, server_config);
@@ -547,9 +591,7 @@ TEST(InferenceServer, ShutdownIsIdempotentAndDrains) {
   config.use_extractor = false;
   Rng rng(81);
   core::ContextAgent agent(config, nullptr, rng);
-  InferenceServerConfig server_config;
-  server_config.max_queue_delay_us = 50;
-  InferenceServer server(&agent, server_config);
+  InferenceServer server(&agent, InferenceServerConfig{});
 
   std::vector<std::thread> clients;
   for (int u = 0; u < 4; ++u) {
@@ -648,18 +690,12 @@ TEST(HashRing, AddMovesKeysOnlyToNewNodeAndRemoveRestores) {
 // ServeRouter (the sharded front end).
 // ---------------------------------------------------------------------------
 
-ServeRouterConfig PlainRouterConfig() {
-  ServeRouterConfig config;
-  config.shard.micro_batching = false;
-  return config;
-}
-
 TEST(ServeRouter, OneVsFourShardsBitwiseIdenticalReplies) {
   Rng rng(91);
   sadae::Sadae sadae_model(TinySadaeConfig(), rng);
   core::ContextAgent agent(TinySim2RecConfig(), &sadae_model, rng);
 
-  const ServeRouterConfig config = PlainRouterConfig();
+  const ServeRouterConfig config{};
   ServeRouter one(&agent, config, /*initial_shards=*/1);
   ServeRouter four(&agent, config, /*initial_shards=*/4);
   EXPECT_EQ(one.num_shards(), 1);
@@ -695,7 +731,7 @@ TEST(ServeRouter, RebalanceUnderLoadKeepsEverySession) {
   sadae::Sadae sadae_model(TinySadaeConfig(), rng);
   core::ContextAgent agent(TinySim2RecConfig(), &sadae_model, rng);
 
-  ServeRouter router(&agent, PlainRouterConfig(), /*initial_shards=*/2);
+  ServeRouter router(&agent, ServeRouterConfig{}, /*initial_shards=*/2);
 
   constexpr int kThreads = 4;
   constexpr int kUsersPerThread = 4;
@@ -769,7 +805,7 @@ TEST(ServeRouter, SessionSnapshotRestoresOntoDifferentTopology) {
 
   constexpr int kUsers = 10;
   constexpr int kSteps = 4;
-  ServeRouter router(&agent, PlainRouterConfig(), /*initial_shards=*/3);
+  ServeRouter router(&agent, ServeRouterConfig{}, /*initial_shards=*/3);
   for (int t = 0; t < kSteps; ++t) {
     for (int u = 0; u < kUsers; ++u) {
       router.Act(static_cast<uint64_t>(u), ObsFor(u, t));
@@ -789,7 +825,7 @@ TEST(ServeRouter, SessionSnapshotRestoresOntoDifferentTopology) {
 
   // Restore onto a *different* shard count: every record re-routes
   // through the new ring, and the recurrent state survives bit-exactly.
-  ServeRouter restarted(&agent, PlainRouterConfig(), /*initial_shards=*/1);
+  ServeRouter restarted(&agent, ServeRouterConfig{}, /*initial_shards=*/1);
   ASSERT_TRUE(restarted.LoadSessions(snapshot));
   size_t restored = 0;
   for (const int id : restarted.shard_ids()) {
@@ -1149,9 +1185,7 @@ TEST(InferenceServer, SwapModelKeepsSessionsAndRefusesIncompatible) {
   sadae::Sadae sadae_b(TinySadaeConfig(), rng_b);
   core::ContextAgent agent_b(TinySim2RecConfig(), &sadae_b, rng_b);
 
-  InferenceServerConfig config;
-  config.micro_batching = false;
-  InferenceServer server(&agent_a, config);
+  InferenceServer server(&agent_a, InferenceServerConfig{});
 
   constexpr int kUsers = 4;
   std::vector<ServeReply> before;
@@ -1165,7 +1199,12 @@ TEST(InferenceServer, SwapModelKeepsSessionsAndRefusesIncompatible) {
   // Same dims, different weights: the swap succeeds, resident sessions
   // (and their step counts) survive, and subsequent replies come from
   // the new model.
-  ASSERT_TRUE(server.SwapModel(&agent_b, nullptr));
+  // A swap needs the plan frozen from the new agent; without one
+  // nothing moves.
+  EXPECT_FALSE(server.SwapModel(&agent_b, nullptr));
+  EXPECT_EQ(&server.agent(), &agent_a);
+  ASSERT_TRUE(
+      server.SwapModel(&agent_b, infer::InferencePlan::Freeze(agent_b).plan));
   EXPECT_EQ(server.sessions().size(), static_cast<size_t>(kUsers));
   const ServeReply after = server.Act(0, ObsFor(0, 3));
   EXPECT_FALSE(BitwiseEqual(before[0].action, after.action));
@@ -1179,7 +1218,8 @@ TEST(InferenceServer, SwapModelKeepsSessionsAndRefusesIncompatible) {
   Rng rng_c(113);
   sadae::Sadae sadae_c(TinySadaeConfig(), rng_c);
   core::ContextAgent agent_c(wide, &sadae_c, rng_c);
-  EXPECT_FALSE(server.SwapModel(&agent_c, nullptr));
+  EXPECT_FALSE(
+      server.SwapModel(&agent_c, infer::InferencePlan::Freeze(agent_c).plan));
   EXPECT_FALSE(server.SwapModel(nullptr, nullptr));
   EXPECT_EQ(&server.agent(), &agent_b);
   server.Act(1, ObsFor(1, 3));  // still serving
@@ -1197,8 +1237,8 @@ TEST(ServeRouter, HotSwapToIdenticalWeightsIsBitwiseInvisible) {
   LoadResult clone = LoadCheckpointEx(dir.str());
   ASSERT_TRUE(clone.status == LoadStatus::kOk);
 
-  ServeRouter swapped(&agent, PlainRouterConfig(), /*initial_shards=*/2);
-  ServeRouter control(&agent, PlainRouterConfig(), /*initial_shards=*/2);
+  ServeRouter swapped(&agent, ServeRouterConfig{}, /*initial_shards=*/2);
+  ServeRouter control(&agent, ServeRouterConfig{}, /*initial_shards=*/2);
 
   constexpr int kUsers = 12;
   constexpr int kSteps = 3;
@@ -1214,7 +1254,8 @@ TEST(ServeRouter, HotSwapToIdenticalWeightsIsBitwiseInvisible) {
   // survives and the remaining replies stay bitwise-identical to the
   // router that never swapped.
   ASSERT_EQ(TotalActiveSessions(swapped), kUsers);
-  ASSERT_TRUE(swapped.SwapModel(clone.policy->agent.get(), nullptr));
+  ASSERT_TRUE(swapped.SwapModel(clone.policy->agent.get(),
+                                FreezePlan(*clone.policy)));
   EXPECT_EQ(TotalActiveSessions(swapped), kUsers);
   for (int t = kSteps; t < 2 * kSteps; ++t) {
     for (int u = 0; u < kUsers; ++u) {
@@ -1239,15 +1280,13 @@ TEST(ServeRouter, Float32HotSwapSharesOnePlanAcrossPresentAndFutureShards) {
   sadae::Sadae sadae_b(TinySadaeConfig(), rng_b);
   core::ContextAgent agent_b(TinySim2RecConfig(), &sadae_b, rng_b);
 
-  ServeRouterConfig config = PlainRouterConfig();
-  config.shard.precision = Precision::kFloat32;
-  ServeRouter router(&agent_a, config, /*initial_shards=*/2);
+  ServeRouter router(&agent_a, ServeRouterConfig{}, /*initial_shards=*/2);
   const infer::InferencePlan* old_plan = router.shard(0)->plan();
   ASSERT_NE(old_plan, nullptr);
   ASSERT_EQ(router.shard(1)->plan(), old_plan);  // constructor sharing
   for (int u = 0; u < 8; ++u) router.Act(u, ObsFor(u, 0));
 
-  // A float32 swap needs a pre-frozen plan; without one nothing moves.
+  // A swap needs a pre-frozen plan; without one nothing moves.
   EXPECT_FALSE(router.SwapModel(&agent_b, nullptr));
   EXPECT_EQ(router.shard(0)->plan(), old_plan);
 
@@ -1276,9 +1315,11 @@ TEST(ServeRouter, HotSwapDuringReshardDrainKeepsEverySession) {
   LoadResult clone = LoadCheckpointEx(dir.str());
   ASSERT_TRUE(clone.status == LoadStatus::kOk);
 
-  ServeRouterConfig config;  // micro-batching ON: batcher threads live
-  config.shard.max_queue_delay_us = 50;
-  ServeRouter router(&agent, config, /*initial_shards=*/2);
+  ServeRouter router(&agent, ServeRouterConfig{}, /*initial_shards=*/2);
+  const std::shared_ptr<const infer::InferencePlan> clone_plan =
+      FreezePlan(*clone.policy);
+  const std::shared_ptr<const infer::InferencePlan> plan =
+      router.shard(0)->plan_handle();
 
   constexpr int kUsers = 16;
   constexpr int kSteps = 20;
@@ -1304,10 +1345,10 @@ TEST(ServeRouter, HotSwapDuringReshardDrainKeepsEverySession) {
       router.RemoveShard(2);
     }
   });
-  workers.emplace_back([&router, &clone, &agent] {
+  workers.emplace_back([&] {
     for (int k = 0; k < kCycles; ++k) {
-      router.SwapModel(clone.policy->agent.get(), nullptr);
-      router.SwapModel(&agent, nullptr);
+      EXPECT_TRUE(router.SwapModel(clone.policy->agent.get(), clone_plan));
+      EXPECT_TRUE(router.SwapModel(&agent, plan));
     }
   });
   for (auto& th : workers) th.join();
@@ -1340,7 +1381,7 @@ TEST(CheckpointWatcher, SwapsValidatesAndRollsBackTyped) {
   sadae::Sadae sadae_b(TinySadaeConfig(), rng_b);
   core::ContextAgent agent_b(TinySim2RecConfig(), &sadae_b, rng_b);
 
-  ServeRouter router(&agent_a, PlainRouterConfig(), /*initial_shards=*/2);
+  ServeRouter router(&agent_a, ServeRouterConfig{}, /*initial_shards=*/2);
   for (int u = 0; u < 8; ++u) router.Act(u, ObsFor(u, 0));
 
   obs::MetricsRegistry registry;
@@ -1443,15 +1484,12 @@ TEST(CheckpointWatcher, FreezeFailureRollsBackUnderFloat32) {
   sadae::Sadae sadae_b(TinySadaeConfig(), rng_b);
   core::ContextAgent agent_b(TinySim2RecConfig(), &sadae_b, rng_b);
 
-  ServeRouterConfig router_config = PlainRouterConfig();
-  router_config.shard.precision = Precision::kFloat32;
-  ServeRouter router(&agent_a, router_config, /*initial_shards=*/1);
+  ServeRouter router(&agent_a, ServeRouterConfig{}, /*initial_shards=*/1);
   const infer::InferencePlan* old_plan = router.shard(0)->plan();
   for (int u = 0; u < 4; ++u) router.Act(u, ObsFor(u, 0));
 
   CheckpointWatcherConfig config;
   config.dir = base.str();
-  config.precision = Precision::kFloat32;
   CheckpointWatcher watcher(&router, config);
 
   // Generation 1 carries a non-finite parameter: it loads (the bytes
@@ -1485,9 +1523,7 @@ TEST(CheckpointWatcher, BackgroundThreadSwapsUnderLiveTraffic) {
   sadae::Sadae sadae_model(TinySadaeConfig(), rng);
   core::ContextAgent agent(TinySim2RecConfig(), &sadae_model, rng);
 
-  ServeRouterConfig config;  // micro-batching on
-  config.shard.max_queue_delay_us = 50;
-  ServeRouter router(&agent, config, /*initial_shards=*/2);
+  ServeRouter router(&agent, ServeRouterConfig{}, /*initial_shards=*/2);
 
   CheckpointWatcherConfig watcher_config;
   watcher_config.dir = base.str();
@@ -1733,7 +1769,6 @@ TEST(InferenceServer, TrajectoryLoggingIsDeterminismNeutralBitwise) {
 
   InferenceServerConfig plain_config;
   plain_config.max_batch_size = 4;
-  plain_config.max_queue_delay_us = 500;
   InferenceServerConfig logged_config = plain_config;
   logged_config.trajectory_sink = log.OpenSink(0);
   InferenceServer plain(&agent, plain_config);
@@ -1806,7 +1841,7 @@ TEST(ServeRouter, TrajectoryLogCoversEveryShardIncludingAddedOnes) {
   log_config.action_dim = 1;
   TrajectoryLog log(log_config);
 
-  ServeRouterConfig config = PlainRouterConfig();
+  ServeRouterConfig config;
   config.trajectory_log = &log;
   ServeRouter router(&agent, config, /*initial_shards=*/2);
 

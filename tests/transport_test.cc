@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -488,8 +489,7 @@ TEST(Transport, SocketPathIsBitwiseIdenticalToInProcess) {
 
   constexpr int kUsers = 6;
   constexpr int kSteps = 4;
-  serve::ServeRouterConfig router_config;
-  router_config.shard.micro_batching = false;
+  const serve::ServeRouterConfig router_config{};
 
   // In-process reference.
   std::vector<std::vector<serve::ServeReply>> reference(kUsers);
@@ -538,6 +538,37 @@ TEST(Transport, SocketPathIsBitwiseIdenticalToInProcess) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(Transport, WrongObsWidthIsTypedBadPayloadNotAbort) {
+  Rng rng(172);
+  sadae::Sadae sadae_model(TinySadaeConfig(), rng);
+  core::ContextAgent agent(TinySim2RecConfig(), &sadae_model, rng);
+  serve::ServeRouter router(&agent, serve::ServeRouterConfig{},
+                            /*initial_shards=*/2);
+  PolicyServerConfig server_config;
+  server_config.num_workers = 2;
+  PolicyServer server(&router, server_config);
+  ASSERT_TRUE(server.Start());
+
+  // Well framed, but one column short of what the policy takes: a typed
+  // kBadPayload for this request, not an abort of the whole server.
+  const nn::Tensor narrow(1, envs::kLtsObsDim - 1);
+  PolicyClient client(ClientFor(server));
+  serve::ServeReply reply;
+  EXPECT_EQ(client.TryAct(1, narrow, &reply), TransportStatus::kRemoteError);
+  EXPECT_EQ(client.last_remote_error(), WireError::kBadPayload);
+
+  // The same connection still serves a correct-width request, and a
+  // fresh client still reaches the server.
+  const serve::ServeReply served = client.Act(1, ObsFor(1, 0));
+  EXPECT_EQ(served.action.cols(), 1);
+  EXPECT_FALSE(served.action.HasNonFinite());
+  PolicyClient fresh(ClientFor(server));
+  EXPECT_EQ(fresh.Ping(), TransportStatus::kOk);
+
+  // In process, the router reports the same fault as an exception.
+  EXPECT_THROW(router.Act(2, narrow), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
