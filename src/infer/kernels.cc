@@ -24,7 +24,7 @@ void GemmBiasActScalar(const float* x, const float* w, const float* b,
   }
 }
 
-#if !defined(SIM2REC_INFER_HAVE_AVX2)
+#if !defined(SIM2REC_HAVE_AVX2)
 // Link-time fallback when the AVX2 translation unit is not built
 // (SIM2REC_SIMD=OFF or non-x86). Avx2Available() is false in that
 // configuration, so the dispatcher never routes here; only tests that
@@ -37,7 +37,7 @@ void GemmBiasActAvx2(const float* x, const float* w, const float* b,
 
 void GemmBiasAct(const float* x, const float* w, const float* b, float* y,
                  int n, int k, int m, Act act) {
-#if defined(SIM2REC_INFER_HAVE_AVX2)
+#if defined(SIM2REC_HAVE_AVX2)
   if (ActiveSimdLevel() == SimdLevel::kAvx2) {
     GemmBiasActAvx2(x, w, b, y, n, k, m, act);
     return;

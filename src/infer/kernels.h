@@ -3,7 +3,7 @@
 
 #include <cmath>
 
-#include "infer/simd.h"
+#include "util/simd.h"
 
 namespace sim2rec {
 namespace infer {

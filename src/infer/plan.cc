@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "util/crc32.h"
+#include "util/simd.h"
 
 namespace sim2rec {
 namespace infer {

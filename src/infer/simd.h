@@ -1,40 +1,16 @@
 #ifndef SIM2REC_INFER_SIMD_H_
 #define SIM2REC_INFER_SIMD_H_
 
+// Forwarding header: the dispatcher lives in util/simd.h, shared by nn
+// and infer. New code includes util/simd.h; this stays until
+// perfbench/src/main.cc switches over.
+#include "util/simd.h"
+
 namespace sim2rec {
 namespace infer {
-
-/// Kernel dispatch level for the float32 serving kernels. The two paths
-/// are bitwise-identical by construction (same per-element operation
-/// order — see kernels.h), so switching level changes speed, never
-/// answers; tests/infer_test.cc pins the equivalence exactly.
-enum class SimdLevel {
-  kScalar = 0,
-  kAvx2 = 1,
-};
-
-/// The level kernels actually run at, resolved once on first use from
-/// three gates (all must pass for kAvx2):
-///  * the AVX2 kernels were compiled in (-DSIM2REC_SIMD=ON, the
-///    default; OFF builds are scalar-only),
-///  * the CPU reports AVX2 at runtime (cpuid),
-///  * the SIM2REC_SIMD environment variable does not force scalar
-///    (values `0`, `off`, or `scalar` do; unset/anything else is auto).
-SimdLevel ActiveSimdLevel();
-
-const char* SimdLevelName(SimdLevel level);
-
-/// True when this binary contains the AVX2 kernels *and* the CPU
-/// supports them — ignores the environment override. The equivalence
-/// test keys on this to decide whether kAvx2 can be forced.
-bool Avx2Available();
-
-/// Test hooks. ForceSimdLevel overrides the resolved level (forcing
-/// kAvx2 requires Avx2Available()); ResetSimdLevel re-resolves from
-/// build/CPU/environment on next use.
-void ForceSimdLevel(SimdLevel level);
-void ResetSimdLevel();
-
+using ::sim2rec::ActiveSimdLevel;
+using ::sim2rec::SimdLevel;
+using ::sim2rec::SimdLevelName;
 }  // namespace infer
 }  // namespace sim2rec
 

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <sstream>
 
+#include "nn/gemm_avx2.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace sim2rec {
 namespace nn {
@@ -171,6 +173,12 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const double* ad = a.data();
   const double* bd = b.data();
   double* od = out.data();
+#if defined(SIM2REC_HAVE_AVX2)
+  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
+    GemmAvx2(ad, k, 1, bd, od, n, k, m, /*skip_zero=*/true);
+    return out;
+  }
+#endif
   for (int i = 0; i < n; ++i) {
     for (int p = 0; p < k; ++p) {
       const double av = ad[static_cast<size_t>(i) * k + p];
@@ -190,6 +198,13 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
   const double* ad = a.data();
   const double* bd = b.data();
   double* od = out.data();
+#if defined(SIM2REC_HAVE_AVX2)
+  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
+    // Output row p reads column p of a.
+    GemmAvx2(ad, 1, k, bd, od, k, n, m, /*skip_zero=*/true);
+    return out;
+  }
+#endif
   for (int i = 0; i < n; ++i) {
     const double* arow = ad + static_cast<size_t>(i) * k;
     const double* brow = bd + static_cast<size_t>(i) * m;
@@ -210,6 +225,20 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
   const double* ad = a.data();
   const double* bd = b.data();
   double* od = out.data();
+#if defined(SIM2REC_HAVE_AVX2)
+  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
+    // Packs b^T (k x m) into a buffer reused per thread, so that the
+    // kernel streams rows of it as it does for MatMul.
+    thread_local std::vector<double> bt;
+    bt.resize(static_cast<size_t>(k) * m);
+    for (int j = 0; j < m; ++j) {
+      const double* brow = bd + static_cast<size_t>(j) * k;
+      for (int p = 0; p < k; ++p) bt[static_cast<size_t>(p) * m + j] = brow[p];
+    }
+    GemmAvx2(ad, k, 1, bt.data(), od, n, k, m, /*skip_zero=*/false);
+    return out;
+  }
+#endif
   for (int i = 0; i < n; ++i) {
     const double* arow = ad + static_cast<size_t>(i) * k;
     double* orow = od + static_cast<size_t>(i) * m;

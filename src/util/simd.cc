@@ -1,4 +1,4 @@
-#include "infer/simd.h"
+#include "util/simd.h"
 
 #include <atomic>
 #include <cstdlib>
@@ -7,7 +7,6 @@
 #include "util/logging.h"
 
 namespace sim2rec {
-namespace infer {
 namespace {
 
 constexpr int kUnresolved = -1;
@@ -31,7 +30,7 @@ SimdLevel Resolve() {
 }  // namespace
 
 bool Avx2Available() {
-#if defined(SIM2REC_INFER_HAVE_AVX2)
+#if defined(SIM2REC_HAVE_AVX2)
   return __builtin_cpu_supports("avx2");
 #else
   return false;
@@ -68,5 +67,4 @@ void ResetSimdLevel() {
   g_level.store(kUnresolved, std::memory_order_release);
 }
 
-}  // namespace infer
 }  // namespace sim2rec

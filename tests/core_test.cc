@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "baselines/factories.h"
 #include "core/context_agent.h"
 #include "core/sim2rec_trainer.h"
 #include "envs/lts_env.h"
+#include "util/simd.h"
 
 namespace sim2rec {
 namespace core {
@@ -233,6 +236,86 @@ TEST(ZeroShotTrainer, JointSadaeUpdateRuns) {
   ZeroShotTrainer trainer(&agent, {&env}, loop, &sadae_trainer, &sets);
   const auto logs = trainer.Train();
   EXPECT_FALSE(std::isnan(logs[0].sadae_loss));
+}
+
+// ---------------------------------------------------------------------------
+// SIMD dispatch: a short Sim2Rec run (PPO with SADAE, both extractor
+// cells) logs the same bits and ends on the same parameter bytes under
+// forced scalar and forced AVX2 GEMMs. This pins the tape's forward,
+// backward and Adam steps, not only the kernels.
+// ---------------------------------------------------------------------------
+
+struct TrainedBits {
+  std::vector<double> logs;  // every IterationLog field, in order
+  std::vector<double> agent_params;
+  std::vector<double> sadae_params;
+};
+
+TrainedBits TrainShortRun(ContextAgentConfig::ExtractorCell cell) {
+  Rng rng(21);
+  sadae::Sadae sadae_model(LtsSadaeConfig(), rng);
+  ContextAgentConfig config = Sim2RecLtsConfig();
+  config.extractor_cell = cell;
+  ContextAgent agent(config, &sadae_model, rng);
+
+  envs::LtsConfig env_config;
+  env_config.num_users = 6;
+  env_config.horizon = 5;
+  envs::LtsEnv env_a(env_config);
+  env_config.omega_g = 3.0;
+  envs::LtsEnv env_b(env_config);
+  std::vector<nn::Tensor> sets;
+  Rng set_rng(22);
+  for (int k = 0; k < 4; ++k) sets.push_back(env_a.Reset(set_rng));
+  sadae::SadaeTrainer sadae_trainer(&sadae_model, sadae::SadaeTrainConfig());
+
+  TrainLoopConfig loop;
+  loop.iterations = 4;
+  loop.eval_every = 2;
+  loop.sadae_steps_per_iteration = 2;
+  loop.seed = 23;
+  ZeroShotTrainer trainer(&agent, {&env_a, &env_b}, loop, &sadae_trainer,
+                          &sets);
+  trainer.set_evaluator([&env_b](rl::Agent& policy, Rng& eval_rng) {
+    return rl::CollectRollout(env_b, policy, 5, eval_rng).MeanReturn();
+  });
+
+  TrainedBits bits;
+  for (const IterationLog& log : trainer.Train()) {
+    bits.logs.insert(bits.logs.end(),
+                     {static_cast<double>(log.iteration), log.train_return,
+                      log.eval_return, log.policy_loss, log.value_loss,
+                      log.entropy, log.approx_kl, log.sadae_loss});
+  }
+  bits.agent_params = agent.FlatParams();
+  bits.sadae_params = sadae_model.FlatParams();
+  return bits;
+}
+
+bool BitwiseEqual(const std::vector<double>& x, const std::vector<double>& y) {
+  return x.size() == y.size() &&
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
+}
+
+TEST(ZeroShotTrainer, ScalarAndAvx2GemmsTrainBitwiseEqual) {
+  if (!Avx2Available()) {
+    GTEST_SKIP() << "AVX2 kernels not compiled in or CPU unsupported";
+  }
+  for (auto cell : {ContextAgentConfig::ExtractorCell::kLstm,
+                    ContextAgentConfig::ExtractorCell::kGru}) {
+    SCOPED_TRACE(cell == ContextAgentConfig::ExtractorCell::kLstm ? "lstm"
+                                                                   : "gru");
+    ForceSimdLevel(SimdLevel::kScalar);
+    const TrainedBits scalar = TrainShortRun(cell);
+    ForceSimdLevel(SimdLevel::kAvx2);
+    const TrainedBits avx2 = TrainShortRun(cell);
+    ResetSimdLevel();
+    ASSERT_EQ(scalar.logs.size(), 4u * 8u);
+    EXPECT_TRUE(BitwiseEqual(scalar.logs, avx2.logs));
+    EXPECT_TRUE(BitwiseEqual(scalar.agent_params, avx2.agent_params));
+    EXPECT_TRUE(BitwiseEqual(scalar.sadae_params, avx2.sadae_params));
+  }
 }
 
 }  // namespace

@@ -11,13 +11,13 @@
 #include "core/context_agent.h"
 #include "infer/kernels.h"
 #include "infer/plan.h"
-#include "infer/simd.h"
 #include "nn/tensor.h"
 #include "sadae/sadae.h"
 #include "serve/checkpoint.h"
 #include "serve/inference_server.h"
 #include "serve/serve_router.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace sim2rec {
 namespace infer {

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace sim2rec {
 namespace nn {
@@ -142,6 +144,121 @@ TEST(Tensor, RandnStatistics) {
   Rng rng(21);
   const Tensor a = Tensor::Randn(200, 200, rng, 1.0, 0.5);
   EXPECT_NEAR(a.MeanAll(), 1.0, 0.01);
+}
+
+// ---------------------------------------------------------------------------
+// GEMM dispatch: the AVX2 path of MatMul, MatMulTransA and MatMulTransB
+// is bitwise-identical to the scalar loops on every tile tail and on
+// non-finite input.
+// ---------------------------------------------------------------------------
+
+class SimdLevelGuard {
+ public:
+  ~SimdLevelGuard() { ResetSimdLevel(); }
+};
+
+// Standard normal entries, about a fifth of them replaced by +-0 and
+// subnormals and, when `nan` is given, by `nan` and +-inf as well.
+Tensor Speckled(int rows, int cols, Rng& rng, const double* nan) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kSpecial[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -3e-310,
+                             kInf,
+                             -kInf,
+                             nan != nullptr ? *nan : 0.0};
+  Tensor t = Tensor::Randn(rows, cols, rng);
+  for (int i = 0; i < t.size(); ++i) {
+    if (rng.Uniform() < 0.2) {
+      t[i] = kSpecial[rng.UniformInt(nan != nullptr ? 7 : 4)];
+    }
+  }
+  return t;
+}
+
+bool BitwiseEqual(const Tensor& x, const Tensor& y) {
+  return x.SameShape(y) &&
+         (x.empty() || std::memcmp(x.data(), y.data(),
+                                   x.size() * sizeof(double)) == 0);
+}
+
+// Bitwise equal, except that two NaNs count as equal whatever their
+// sign and payload.
+bool EqualUpToNanPayload(const Tensor& x, const Tensor& y) {
+  if (!x.SameShape(y)) return false;
+  for (int i = 0; i < x.size(); ++i) {
+    if (std::isnan(x[i]) && std::isnan(y[i])) continue;
+    if (std::memcmp(x.data() + i, y.data() + i, sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(GemmDispatch, ScalarAndAvx2BitwiseIdentical) {
+  if (!Avx2Available()) {
+    GTEST_SKIP() << "AVX2 kernels not compiled in or CPU unsupported";
+  }
+  SimdLevelGuard guard;
+  // On x86, 0 * inf and inf - inf give the default NaN, -qNaN. When
+  // every NaN is that one the two paths must agree bit for bit. When
+  // NaNs of different sign meet in one add, IEEE 754 leaves which one
+  // survives to the implementation, and the compiler may commute the
+  // scalar loops' adds; then only NaN signs may differ.
+  const double kDefaultNan =
+      std::copysign(std::numeric_limits<double>::quiet_NaN(), -1.0);
+  const double kPositiveNan = std::numeric_limits<double>::quiet_NaN();
+  const double* const kNans[] = {nullptr, &kDefaultNan, &kPositiveNan};
+  // n and m hit every tile tail (4 rows x 8 columns, then 4 columns,
+  // then single elements); k = 0 leaves the outputs at +0.0.
+  const int kSizes[] = {1, 3, 4, 5, 7, 8, 9, 31, 33, 65};
+  const int kDepths[] = {0, 1, 5, 48};
+  Rng rng(2024);
+  for (int n : kSizes) {
+    for (int m : kSizes) {
+      for (int k : kDepths) {
+        for (const double* nan : kNans) {
+          SCOPED_TRACE(::testing::Message()
+                       << "n=" << n << " k=" << k << " m=" << m
+                       << " nan=" << (nan == nullptr ? 0.0 : *nan));
+          // Every product is n x m over depth k: a * b, (a^T)^T * b and
+          // a * (b^T)^T.
+          Tensor a = Speckled(n, k, rng, nan);
+          const Tensor b = Speckled(k, m, rng, nan);
+          if (nan != nullptr) {
+            // A row of exact zeros against inf/NaN in b: MatMul and
+            // MatMulTransA skip those terms, so the row stays +0.0.
+            for (int p = 0; p < k; ++p) a(0, p) = p % 2 == 0 ? 0.0 : -0.0;
+          }
+          const Tensor at = a.Transposed();
+          const Tensor bt = b.Transposed();
+
+          ForceSimdLevel(SimdLevel::kScalar);
+          const Tensor scalar[] = {MatMul(a, b), MatMulTransA(at, b),
+                                   MatMulTransB(a, bt)};
+          ForceSimdLevel(SimdLevel::kAvx2);
+          const Tensor avx2[] = {MatMul(a, b), MatMulTransA(at, b),
+                                 MatMulTransB(a, bt)};
+          const char* const kNames[] = {"MatMul", "MatMulTransA",
+                                        "MatMulTransB"};
+          for (int g = 0; g < 3; ++g) {
+            if (nan == &kPositiveNan) {
+              ASSERT_TRUE(EqualUpToNanPayload(scalar[g], avx2[g]))
+                  << kNames[g];
+            } else {
+              ASSERT_TRUE(BitwiseEqual(scalar[g], avx2[g])) << kNames[g];
+            }
+          }
+          if (nan != nullptr) {
+            const Tensor zero_row = Tensor::Zeros(1, m);
+            ASSERT_TRUE(BitwiseEqual(avx2[0].Row(0), zero_row));
+            ASSERT_TRUE(BitwiseEqual(avx2[1].Row(0), zero_row));
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
