@@ -63,14 +63,19 @@ if [ "$fail" -ne 0 ]; then
 fi
 
 # --- 3. Metric names the docs cite must exist in source. ---------------
-# OPERATIONS.md, ARCHITECTURE.md and the README document registry
-# metrics as backticked dotted names (`serve.latency_us`,
-# `obs.uptime_s`, ...). Each one must appear as a string literal
-# somewhere under src/ — otherwise the doc points an operator at a
-# series that will never be emitted.
-for doc in docs/OPERATIONS.md docs/ARCHITECTURE.md README.md; do
+# OPERATIONS.md, ARCHITECTURE.md, DESIGN.md and the README document
+# registry metrics as backticked dotted names (`serve.latency_us`,
+# `core.pool.batches`, ...). A name counts as a metric when its first
+# part names a directory under src/ or is one of the non-directory
+# prefixes below. Each one must appear as a string literal somewhere
+# under src/ — otherwise the doc points an operator at a series that
+# will never be emitted.
+metric_prefixes=$( { find src -mindepth 1 -maxdepth 1 -type d |
+    sed 's|^src/||'; printf '%s\n' ppo train rollout router; } |
+  sort -u | paste -sd '|')
+for doc in docs/OPERATIONS.md docs/ARCHITECTURE.md DESIGN.md README.md; do
   [ -e "$doc" ] || continue
-  metric_names=$(grep -oE '`(serve|transport|obs|load)\.[a-z0-9_.]+`' \
+  metric_names=$(grep -oE "\`($metric_prefixes)\.[a-z0-9_.]+\`" \
       "$doc" | tr -d '`' | sort -u)
   for name in $metric_names; do
     if ! grep -rqF "\"$name\"" src/; then

@@ -1,7 +1,5 @@
 #include "core/sim2rec_trainer.h"
 
-#include <algorithm>
-
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -19,13 +17,6 @@ ZeroShotTrainer::ZeroShotTrainer(
   S2R_CHECK(agent != nullptr);
   S2R_CHECK(!training_envs_.empty());
   ppo_ = std::make_unique<rl::PpoTrainer>(agent, config.ppo);
-  if (config_.parallelism != 0) {
-    const int threads = config_.parallelism > 0
-                            ? config_.parallelism
-                            : ThreadPool::DefaultThreads();
-    pool_ = std::make_unique<ThreadPool>(threads);
-    S2R_CHECK(config_.rollout_shards >= 1);
-  }
 }
 
 std::vector<IterationLog> ZeroShotTrainer::Train() {
@@ -43,34 +34,15 @@ std::vector<IterationLog> ZeroShotTrainer::Train() {
           lr0 + frac * (config_.final_learning_rate - lr0));
     }
 
-    rl::Rollout rollout;
-    if (pool_ != nullptr) {
-      // Parallel engine: draw `rollout_shards` distinct envs (still
-      // Algorithm 1 lines 4-5, batched) and collect them concurrently.
-      // The shard draw uses the serial rng, so the decomposition is
-      // identical for every thread count.
-      const int num_envs = static_cast<int>(training_envs_.size());
-      const int num_shards = std::min(config_.rollout_shards, num_envs);
-      const std::vector<int> order = rng.Permutation(num_envs);
-      std::vector<rl::RolloutShard> shards(num_shards);
-      for (int k = 0; k < num_shards; ++k) {
-        shards[k].env = training_envs_[order[k]];
-        shards[k].on_reset = on_env_selected_;
-      }
-      rl::ParallelRolloutCollector collector(pool_.get());
-      rollout = collector.Collect(shards, *agent_, config_.rollout_steps,
-                                  rng);
-    } else {
-      // Algorithm 1 lines 4-5: draw the simulator and the group.
-      envs::GroupBatchEnv* env = training_envs_[rng.UniformInt(
-          static_cast<int>(training_envs_.size()))];
-      if (on_env_selected_) on_env_selected_(env, rng);
+    // Algorithm 1 lines 4-5: draw the simulator and the group.
+    envs::GroupBatchEnv* env = training_envs_[rng.UniformInt(
+        static_cast<int>(training_envs_.size()))];
+    if (on_env_selected_) on_env_selected_(env, rng);
 
-      // Lines 6-9: truncated rollout (the env applies the uncertainty
-      // penalty and F_exec internally).
-      rollout = rl::CollectRollout(*env, *agent_, config_.rollout_steps,
-                                   rng);
-    }
+    // Lines 6-9: truncated rollout (the env applies the uncertainty
+    // penalty and F_exec internally).
+    rl::Rollout rollout =
+        rl::CollectRollout(*env, *agent_, config_.rollout_steps, rng);
 
     // Line 10, Eq. 4: PPO update of policy, extractor, f, kappa.
     rl::PpoTrainer::UpdateStats stats;

@@ -6,9 +6,7 @@
 #include <vector>
 
 #include "core/context_agent.h"
-#include "core/thread_pool.h"
 #include "core/training_observer.h"
-#include "rl/parallel_rollout.h"
 #include "rl/ppo.h"
 #include "sadae/sadae_trainer.h"
 
@@ -39,19 +37,6 @@ struct TrainLoopConfig {
   /// Linear learning-rate decay to `final_learning_rate` over the run
   /// (the paper anneals 1e-4 -> 1e-6). Negative disables decay.
   double final_learning_rate = -1.0;
-
-  /// Parallel rollout engine: thread count for the
-  /// rl::ParallelRolloutCollector. 0 keeps the legacy serial path
-  /// (single env per iteration, shared rng — the pre-engine numerics).
-  /// Any value >= 1 switches to the engine; because shard streams are
-  /// counter-based substreams, results are bit-identical across
-  /// parallelism = 1, 4, 8, ... for a fixed seed. -1 uses
-  /// core::ThreadPool::DefaultThreads() (the SIM2REC_THREADS env var).
-  int parallelism = 0;
-  /// Environments rolled out per iteration when the engine is active;
-  /// drawn without replacement from the training set (shards must not
-  /// alias), clamped to the number of training envs.
-  int rollout_shards = 1;
 
   uint64_t seed = 0;
 };
@@ -117,7 +102,6 @@ class ZeroShotTrainer {
   sadae::SadaeTrainer* sadae_trainer_;
   const std::vector<nn::Tensor>* sadae_sets_;
   std::unique_ptr<rl::PpoTrainer> ppo_;
-  std::unique_ptr<ThreadPool> pool_;  // engine pool (parallelism != 0)
   std::function<void(envs::GroupBatchEnv*, Rng&)> on_env_selected_;
   std::function<double(rl::Agent&, Rng&)> evaluator_;
   TrainingObserver* observer_ = nullptr;

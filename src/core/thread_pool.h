@@ -23,8 +23,8 @@ namespace core {
 /// `fn(i)` writes only to slot i of whatever output it fills, results
 /// are bit-identical for any thread count — scheduling only changes
 /// *when* an iteration runs, never what it computes. This is the
-/// property the parallel rollout engine and the ensemble-uncertainty
-/// fan-out rely on (see DESIGN.md, "Threading model & determinism").
+/// property the ensemble-uncertainty fan-out and the load driver rely
+/// on (see DESIGN.md, "Threading model & determinism").
 ///
 /// A `ParallelFor` issued from inside another `ParallelFor` (on any
 /// participant thread) runs serially on the issuing thread: the outer

@@ -181,8 +181,6 @@ DprTrainedPolicy TrainDprPolicy(const DprPipeline& pipeline,
   // The paper anneals the learning rate (1e-4 -> 1e-6, Table II).
   loop.final_learning_rate = options.ppo.learning_rate * 0.05;
   loop.sadae_steps_per_iteration = use_sadae ? 1 : 0;
-  loop.parallelism = options.parallelism;
-  loop.rollout_shards = options.rollout_shards;
   loop.checkpoint_every = options.checkpoint_every;
   loop.seed = rng.NextU64();
 

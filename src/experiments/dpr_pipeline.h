@@ -100,11 +100,6 @@ struct DprTrainOptions {
   int sadae_latent = 8;
   std::vector<int> sadae_hidden = {64, 64};
   int sadae_pretrain_epochs = 15;
-  /// Parallel rollout engine (see core::TrainLoopConfig): 0 = legacy
-  /// serial loop, >= 1 = engine threads, -1 = SIM2REC_THREADS.
-  int parallelism = 0;
-  /// (Simulator-draw x group) shards per iteration under the engine.
-  int rollout_shards = 1;
   /// When non-empty, export the trained agent as a serving bundle
   /// (serve::SaveCheckpoint) into this directory after the final
   /// iteration — and every `checkpoint_every` iterations when > 0.

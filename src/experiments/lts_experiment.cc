@@ -117,8 +117,6 @@ LtsRunResult RunLtsVariant(baselines::AgentVariant variant,
   loop.eval_episodes = config.eval_episodes;
   loop.ppo = config.ppo;
   loop.sadae_steps_per_iteration = sadae_model != nullptr ? 1 : 0;
-  loop.parallelism = config.parallelism;
-  loop.rollout_shards = config.rollout_shards;
   loop.checkpoint_every = config.checkpoint_every;
   loop.seed = rng.NextU64();
 

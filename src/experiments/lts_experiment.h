@@ -42,14 +42,6 @@ struct LtsExperimentConfig {
 
   rl::PpoConfig ppo;
 
-  /// Parallel rollout engine (see core::TrainLoopConfig): 0 = legacy
-  /// serial loop, >= 1 = engine with that many threads, -1 =
-  /// SIM2REC_THREADS. Results are thread-count invariant for any
-  /// non-zero setting.
-  int parallelism = 0;
-  /// Training envs rolled out per iteration when the engine is active.
-  int rollout_shards = 1;
-
   /// When non-empty, the trained agent is exported as a serving bundle
   /// (serve::SaveCheckpoint) into this directory after the final
   /// iteration — and every `checkpoint_every` iterations when > 0.

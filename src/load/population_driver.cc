@@ -300,11 +300,11 @@ PopulationReport PopulationDriver::Run() {
       report_.elapsed_seconds > 0.0
           ? static_cast<double>(issued) / report_.elapsed_seconds
           : 0.0;
-  report_.p50_us = latency_.QuantileUs(0.50);
-  report_.p95_us = latency_.QuantileUs(0.95);
-  report_.p99_us = latency_.QuantileUs(0.99);
-  report_.mean_us = latency_.mean_us();
-  report_.max_us = latency_.max_us();
+  report_.p50_us = latency_.Quantile(0.50);
+  report_.p95_us = latency_.Quantile(0.95);
+  report_.p99_us = latency_.Quantile(0.99);
+  report_.mean_us = latency_.mean();
+  report_.max_us = latency_.max_value();
   report_.request_checksum =
       request_checksum_.load(std::memory_order_relaxed);
   report_.reply_checksum = reply_checksum_.load(std::memory_order_relaxed);

@@ -12,7 +12,6 @@
 #include "load/arrival.h"
 #include "load/zipf.h"
 #include "obs/metrics.h"
-#include "serve/metrics.h"
 #include "serve/policy_service.h"
 #include "util/rng.h"
 
@@ -220,7 +219,7 @@ class PopulationDriver {
   uint64_t next_ordinal_ = 0;
 
   PopulationReport report_;
-  serve::LatencyHistogram latency_;
+  obs::LogHistogram latency_;
   obs::LogHistogram tick_latency_;
   std::atomic<uint64_t> request_checksum_{0};
   std::atomic<uint64_t> reply_checksum_{0};

@@ -31,8 +31,9 @@ namespace obs {
 ///
 /// The primitive classes themselves record unconditionally — the
 /// enable gate lives in the wiring macros — so components that own a
-/// metric object as functional API surface (serve::LatencyHistogram)
-/// keep working whatever the global switch says.
+/// metric object as functional API surface (the histograms behind
+/// serve::InferenceServer::stats) keep working whatever the global
+/// switch says.
 
 #if defined(SIM2REC_OBS_DISABLED)
 constexpr bool Enabled() { return false; }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/trace.h"
+
 namespace sim2rec {
 namespace rl {
 
@@ -65,6 +67,7 @@ Rollout CollectRollout(envs::GroupBatchEnv& env, Agent& agent,
                        int num_steps, Rng& rng) {
   S2R_CHECK(agent.obs_dim() == env.obs_dim());
   S2R_CHECK(agent.action_dim() == env.action_dim());
+  S2R_TRACE_SPAN("rollout/collect");
   const int t_max = std::min(num_steps, env.horizon());
   const int n = env.num_users();
 

@@ -170,7 +170,7 @@ void InferenceServer::RunNextBatch(std::unique_lock<std::mutex>& lock,
     const double latency_us =
         std::chrono::duration<double, std::micro>(fulfilled - p->enqueued)
             .count();
-    latency_.Record(latency_us);
+    latency_us_.Record(latency_us);
     if (obs::Enabled()) {
       metric_latency_us_->RecordWithExemplar(
           latency_us, p->trace_id, "shard",
@@ -300,7 +300,7 @@ void InferenceServer::ProcessBatch(
       store_->Commit(batch[i]->user_id, std::move(sessions[i]), now_ms);
     }
   }
-  occupancy_.Record(k);
+  batch_rows_.Record(static_cast<double>(k));
   if (obs::Enabled()) {
     metric_requests_->Add(k);
     metric_batches_->Add(1);
@@ -310,17 +310,17 @@ void InferenceServer::ProcessBatch(
 
 InferenceServerStats InferenceServer::stats() const {
   InferenceServerStats stats;
-  stats.requests = occupancy_.requests();
-  stats.batches = occupancy_.batches();
+  stats.requests = static_cast<int64_t>(batch_rows_.sum());
+  stats.batches = batch_rows_.count();
   stats.queue_depth = queue_depth_.load(std::memory_order_relaxed);
-  stats.mean_batch_occupancy = occupancy_.mean();
-  stats.max_batch = occupancy_.max();
+  stats.mean_batch_occupancy = batch_rows_.mean();
+  stats.max_batch = static_cast<int>(batch_rows_.max_value());
   stats.exec_clamps = exec_clamps_.load(std::memory_order_relaxed);
-  stats.latency_p50_us = latency_.QuantileUs(0.50);
-  stats.latency_p95_us = latency_.QuantileUs(0.95);
-  stats.latency_p99_us = latency_.QuantileUs(0.99);
-  stats.latency_mean_us = latency_.mean_us();
-  stats.latency_max_us = latency_.max_us();
+  stats.latency_p50_us = latency_us_.Quantile(0.50);
+  stats.latency_p95_us = latency_us_.Quantile(0.95);
+  stats.latency_p99_us = latency_us_.Quantile(0.99);
+  stats.latency_mean_us = latency_us_.mean();
+  stats.latency_max_us = latency_us_.max_value();
   stats.sessions = store_->stats();
   return stats;
 }

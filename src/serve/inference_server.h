@@ -13,7 +13,6 @@
 #include "core/context_agent.h"
 #include "infer/plan.h"
 #include "obs/metrics.h"
-#include "serve/metrics.h"
 #include "serve/policy_service.h"
 #include "serve/session_store.h"
 
@@ -202,8 +201,12 @@ class InferenceServer : public PolicyService {
   bool batch_running_ = false;
   bool stop_ = false;
 
-  LatencyHistogram latency_;
-  BatchOccupancy occupancy_;
+  // What stats() reports: per-request latency (us) and rows per batch
+  // (count = batches, sum = requests). Recorded whatever obs::Enabled()
+  // says; only the registry mirror below is gated. The mirror cannot
+  // stand in for these: lone servers share MetricsRegistry::Global().
+  obs::LogHistogram latency_us_;
+  obs::LogHistogram batch_rows_;
   std::atomic<int64_t> exec_clamps_{0};
   // Lock-free mirror of queue_.size() so stats() and the autoscaler
   // never touch the batching mutex.

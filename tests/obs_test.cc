@@ -207,53 +207,6 @@ TEST(LogHistogram, QuantilesAreMonotoneInQ) {
 }
 
 // ---------------------------------------------------------------------------
-// serve wrappers (satellite: QuantileUs edge cases on the public type).
-// ---------------------------------------------------------------------------
-
-TEST(LatencyHistogram, QuantileUsEdgeCases) {
-  serve::LatencyHistogram latency;
-  EXPECT_DOUBLE_EQ(latency.QuantileUs(0.5), 0.0);  // empty
-
-  latency.Record(37.0);  // single sample: every quantile is the sample
-  EXPECT_DOUBLE_EQ(latency.QuantileUs(0.0), 37.0);
-  EXPECT_DOUBLE_EQ(latency.QuantileUs(0.5), 37.0);
-  EXPECT_DOUBLE_EQ(latency.QuantileUs(1.0), 37.0);
-  EXPECT_EQ(latency.count(), 1);
-  EXPECT_DOUBLE_EQ(latency.mean_us(), 37.0);
-  EXPECT_DOUBLE_EQ(latency.max_us(), 37.0);
-}
-
-TEST(LatencyHistogram, SubMicrosecondSamples) {
-  serve::LatencyHistogram latency;
-  latency.Record(0.2);
-  latency.Record(0.9);
-  EXPECT_DOUBLE_EQ(latency.QuantileUs(0.0), 0.2);
-  EXPECT_DOUBLE_EQ(latency.QuantileUs(1.0), 0.9);
-  const double p50 = latency.QuantileUs(0.5);
-  EXPECT_GE(p50, 0.2);
-  EXPECT_LE(p50, 0.9);
-}
-
-TEST(LatencyHistogram, QuantilesMonotoneUnderLoad) {
-  serve::LatencyHistogram latency;
-  for (int i = 0; i < 500; ++i) latency.Record(10.0 + i);
-  EXPECT_LE(latency.QuantileUs(0.50), latency.QuantileUs(0.95));
-  EXPECT_LE(latency.QuantileUs(0.95), latency.QuantileUs(0.99));
-  EXPECT_LE(latency.QuantileUs(0.99), latency.max_us());
-}
-
-TEST(BatchOccupancy, CountsBatchesRequestsMax) {
-  serve::BatchOccupancy occupancy;
-  occupancy.Record(4);
-  occupancy.Record(8);
-  occupancy.Record(2);
-  EXPECT_EQ(occupancy.batches(), 3);
-  EXPECT_EQ(occupancy.requests(), 14);
-  EXPECT_EQ(occupancy.max(), 8);
-  EXPECT_NEAR(occupancy.mean(), 14.0 / 3.0, 1e-12);
-}
-
-// ---------------------------------------------------------------------------
 // Registry.
 // ---------------------------------------------------------------------------
 
@@ -569,8 +522,6 @@ std::pair<std::vector<double>, std::vector<double>> TrainTiny() {
   loop.iterations = 4;
   loop.eval_every = 0;
   loop.sadae_steps_per_iteration = 0;
-  loop.parallelism = 2;  // exercise the instrumented engine path
-  loop.rollout_shards = 2;
   loop.seed = 12;
 
   core::ZeroShotTrainer trainer(&agent, {&env_a, &env_b}, loop);
@@ -590,6 +541,12 @@ TEST(DeterminismNeutrality, InstrumentedRunMatchesDisabledBitwise) {
   const auto instrumented = TrainTiny();
   TraceRecorder::Global().Stop();
   EXPECT_GT(TraceRecorder::Global().event_count(), 0);
+  // The traced run went through the one rollout path and the update.
+  const std::vector<std::string> spans = TraceRecorder::Global().SpanNames();
+  for (const char* name : {"rollout/collect", "ppo/update"}) {
+    EXPECT_NE(std::find(spans.begin(), spans.end(), name), spans.end())
+        << "no " << name << " span in the traced run";
+  }
 
   // Run 2: observability off at run time.
   SetEnabled(false);

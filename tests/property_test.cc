@@ -256,10 +256,11 @@ TEST(ProductOfGaussians, PrecisionAddsAcrossIdenticalExperts) {
 }
 
 // ---------------------------------------------------------------------
-// Counter-based RNG substreams (the parallel rollout engine's shard
-// streams). Three properties carry the thread-count-invariance proof:
-// substreams are pure in (seed, id); drawing from one stream never
-// perturbs another; and distinct streams never collide over long runs.
+// Counter-based RNG substreams (the load driver's per-session and
+// per-tick streams). Three properties carry the thread-count-invariance
+// proof: substreams are pure in (seed, id); drawing from one stream
+// never perturbs another; and distinct streams never collide over long
+// runs.
 
 class SubstreamSeedTest : public ::testing::TestWithParam<uint64_t> {};
 

@@ -21,6 +21,7 @@
 #include "envs/lts_env.h"
 #include "nn/layers.h"
 #include "nn/serialize.h"
+#include "obs/metrics.h"
 #include "serve/checkpoint.h"
 #include "serve/checkpoint_watcher.h"
 #include "serve/hash_ring.h"
@@ -529,14 +530,25 @@ TEST(InferenceServer, BacklogLongerThanMaxBatchIsFullyServed) {
 
   // Eight callers against two-row batches: whenever more than two
   // requests queue up behind a running batch, a waiter whose request
-  // was left out must run a later batch itself.
+  // was left out must run a later batch itself. Observability is off at
+  // run time: that silences only the registry mirror, never the
+  // server's own stats.
   InferenceServerConfig config;
   config.max_batch_size = 2;
   InferenceServer server(&agent, config);
+  const bool obs_was_enabled = obs::Enabled();
+  obs::SetEnabled(false);
   ExpectSameStreams(reference, ConcurrentRun(server, kCallers, kSteps));
   const InferenceServerStats stats = server.stats();
+  obs::SetEnabled(obs_was_enabled);
   EXPECT_EQ(stats.requests, kCallers * kSteps);
   EXPECT_LE(stats.max_batch, 2);
+  EXPECT_GE(stats.batches, stats.requests / 2);
+  EXPECT_EQ(stats.mean_batch_occupancy,
+            static_cast<double>(stats.requests) / stats.batches);
+  EXPECT_GT(stats.latency_p50_us, 0.0);
+  EXPECT_GT(stats.latency_p95_us, 0.0);
+  EXPECT_GT(stats.latency_p99_us, 0.0);
   EXPECT_EQ(stats.queue_depth, 0);
 }
 

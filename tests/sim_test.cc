@@ -2,9 +2,7 @@
 
 #include <cmath>
 
-#include "core/context_agent.h"
 #include "data/generation.h"
-#include "rl/parallel_rollout.h"
 #include "sim/ensemble.h"
 #include "sim/filters.h"
 #include "sim/sim_env.h"
@@ -299,25 +297,9 @@ TEST_F(SimTest, TrendFilterAllViolatingGroupYieldsEmptySelection) {
       TrendFilter(*ensemble_, *dataset_, deltas, 1, /*min_slope=*/1e9);
   EXPECT_TRUE(keep.empty());
 
-  // Selecting an empty keep-set must yield an empty (but valid) dataset...
+  // Selecting an empty keep-set must yield an empty (but valid) dataset.
   const data::LoggedDataset filtered = SelectTrajectories(*dataset_, keep);
   EXPECT_EQ(filtered.size(), 0);
-
-  // ...and downstream consumers must cope: the parallel rollout collector
-  // treats a groupless shard list as an empty rollout instead of crashing.
-  core::ContextAgentConfig agent_config;
-  agent_config.obs_dim = envs::kDprObsDim;
-  agent_config.action_dim = envs::kDprActionDim;
-  agent_config.policy_hidden = {8};
-  agent_config.value_hidden = {8};
-  Rng agent_rng(10);
-  core::ContextAgent agent(agent_config, nullptr, agent_rng);
-  rl::ParallelRolloutCollector collector(nullptr);
-  Rng rollout_rng(11);
-  const rl::Rollout rollout =
-      collector.Collect({}, agent, /*num_steps=*/4, rollout_rng);
-  EXPECT_EQ(rollout.num_steps, 0);
-  EXPECT_EQ(rollout.num_users, 0);
 }
 
 TEST_F(SimTest, StaticsFromObsRowRoundTrip) {
