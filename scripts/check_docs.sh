@@ -6,9 +6,10 @@
 #   ./build/examples/<name>   build/tests/<name>   build-tsan/bench/<name>
 # and checks each <name> against the targets declared via
 # add_executable / s2r_add_test / s2r_add_bench / s2r_add_example.
-# Steps 3-6 check metric names, the protocol message-type table, the
-# architecture module map and the code names and config fields the docs
-# cite (see each step).
+# Steps 3-7 check metric names, the protocol message-type table, the
+# architecture module map, the code names and config fields the docs
+# cite, and the flags they show after bench and example binaries (see
+# each step).
 #
 # Wired as the `check_docs` ctest (tests/CMakeLists.txt), so stale docs
 # fail CI the same way a broken test does.
@@ -186,4 +187,36 @@ if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED — documented code names missing from source" >&2
   exit 1
 fi
-echo "check_docs: OK (binaries, metric names, message types, module map and code names all check out)"
+
+# --- 7. Flags the docs show after bench and example binaries. ----------
+# A fenced invocation (`./build/bench/<name> --smoke ...`, up to a `#`
+# comment or a shell separator) or a backticked `<name> --flag` span in
+# the README or docs/*.md tells the reader the binary takes that flag.
+# Each such flag must appear as the string literal "--flag" in
+# bench/<name>.cc or examples/<name>.cpp: the flag helpers ignore flags
+# nobody asks for, so a stale one would silently run the default mode.
+flag_mentions() {  # doc -> lines "name rest-of-command"
+  awk '/^```/ { fence = !fence; next } fence { print }' "$1" |
+    sed -nE 's@.*build[A-Za-z0-9_-]*/(bench|examples)/([A-Za-z0-9_]+)([^#&|;]*).*@\2\3@p'
+  grep -oE '`[a-z][a-z0-9_]* --[^`]*`' "$1" | tr -d '`'
+}
+for doc in "${docs[@]}"; do
+  while read -r name rest; do
+    source_file=""
+    for f in "bench/$name.cc" "examples/$name.cpp"; do
+      [ -e "$f" ] && source_file="$f"
+    done
+    [ -n "$source_file" ] || continue
+    for flag in $(echo "$rest" | grep -oE -- '--[A-Za-z0-9][A-Za-z0-9_-]*'); do
+      if ! grep -qF -- "\"$flag\"" "$source_file"; then
+        echo "check_docs: $doc shows '$name $flag' but \"$flag\" is not in $source_file" >&2
+        fail=1
+      fi
+    done
+  done < <(flag_mentions "$doc")
+done
+if [ "$fail" -ne 0 ]; then
+  echo "check_docs: FAILED — docs show flags their binaries do not parse" >&2
+  exit 1
+fi
+echo "check_docs: OK (binaries, metric names, message types, module map, code names and binary flags all check out)"

@@ -1,6 +1,5 @@
 #include "experiments/checkpoint_export.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "util/logging.h"
@@ -10,27 +9,15 @@ namespace experiments {
 
 CheckpointExportObserver::CheckpointExportObserver(
     std::string dir, core::ContextAgent* agent,
-    serve::CheckpointMetadata metadata, bool generation_subdirs)
-    : dir_(std::move(dir)), agent_(agent), metadata_(std::move(metadata)),
-      generation_subdirs_(generation_subdirs),
-      last_generation_(metadata_.generation) {}
+    serve::CheckpointMetadata metadata)
+    : dir_(std::move(dir)), agent_(agent), metadata_(std::move(metadata)) {}
 
 void CheckpointExportObserver::OnCheckpoint(int iteration) {
   serve::CheckpointMetadata metadata = metadata_;
   metadata.train_iterations = iteration + 1;
-  std::string dir = dir_;
-  if (generation_subdirs_) {
-    metadata.generation = last_generation_ + 1;
-    char name[32];
-    std::snprintf(name, sizeof(name), "gen-%06llu",
-                  static_cast<unsigned long long>(metadata.generation));
-    dir += std::string("/") + name;
+  if (!serve::SaveCheckpoint(dir_, *agent_, metadata)) {
+    S2R_LOG_WARN("checkpoint export to '%s' failed", dir_.c_str());
   }
-  if (!serve::SaveCheckpoint(dir, *agent_, metadata)) {
-    S2R_LOG_WARN("checkpoint export to '%s' failed", dir.c_str());
-    return;
-  }
-  if (generation_subdirs_) last_generation_ = metadata.generation;
 }
 
 }  // namespace experiments

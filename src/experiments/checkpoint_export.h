@@ -1,7 +1,6 @@
 #ifndef SIM2REC_EXPERIMENTS_CHECKPOINT_EXPORT_H_
 #define SIM2REC_EXPERIMENTS_CHECKPOINT_EXPORT_H_
 
-#include <cstdint>
 #include <string>
 
 #include "core/context_agent.h"
@@ -14,39 +13,22 @@ namespace experiments {
 /// TrainingObserver that exports a serving bundle (serve::SaveCheckpoint)
 /// on every OnCheckpoint callback: the bundle's train_iterations metadata
 /// is `iteration + 1` so a bundle written after iteration k reads
-/// "trained for k+1 iterations". Failures log a warning and keep
-/// training (checkpoint export is best-effort by design). The agent must
-/// outlive the observer. Shared by the LTS and DPR pipelines.
-///
-/// Two export layouts:
-///  * Default (generation_subdirs = false): every export overwrites
-///    `dir` in place — the original single-bundle behaviour, metadata
-///    passed through untouched.
-///  * Generation mode (generation_subdirs = true): export k writes a
-///    fresh bundle to `dir/gen-NNNNNN` with a monotonically increasing
-///    `generation` manifest key, starting above metadata.generation.
-///    This is the producer side of the continuous-learning loop: point
-///    a serve::CheckpointWatcher at `dir` and it hot-swaps to each new
-///    generation as training publishes it (the staged manifest rename
-///    in SaveCheckpoint makes the publish atomic).
+/// "trained for k+1 iterations". Every export overwrites `dir` in place,
+/// the rest of the metadata passed through untouched. Failures log a
+/// warning and keep training (checkpoint export is best-effort by
+/// design). The agent must outlive the observer. Shared by the LTS and
+/// DPR pipelines.
 class CheckpointExportObserver : public core::TrainingObserver {
  public:
   CheckpointExportObserver(std::string dir, core::ContextAgent* agent,
-                           serve::CheckpointMetadata metadata,
-                           bool generation_subdirs = false);
+                           serve::CheckpointMetadata metadata);
 
   void OnCheckpoint(int iteration) override;
-
-  /// Generation of the last bundle written (0 before the first export
-  /// or outside generation mode).
-  uint64_t last_generation() const { return last_generation_; }
 
  private:
   std::string dir_;
   core::ContextAgent* agent_;  // SaveCheckpoint needs mutable access
   serve::CheckpointMetadata metadata_;
-  bool generation_subdirs_;
-  uint64_t last_generation_ = 0;
 };
 
 }  // namespace experiments

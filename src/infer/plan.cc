@@ -5,7 +5,6 @@
 #include <cstring>
 #include <utility>
 
-#include "util/crc32.h"
 #include "util/simd.h"
 
 namespace sim2rec {
@@ -520,30 +519,6 @@ size_t InferencePlan::memory_bytes() const {
             gru_w_hn_.size() + gru_b_n_.size();
   floats += norm_mean_.size() + norm_inv_std_.size() + action_bias_.size();
   return floats * sizeof(float);
-}
-
-uint32_t InferencePlan::WeightChecksum() const {
-  uint32_t crc = 0;
-  const auto feed = [&crc](const std::vector<float>& v) {
-    crc = Crc32(v.data(), v.size() * sizeof(float), crc);
-  };
-  for (const MlpPlan* mlp : {&encoder_, &f_, &policy_, &value_}) {
-    for (const DenseLayer& dl : mlp->layers) {
-      feed(dl.w);
-      feed(dl.b);
-    }
-  }
-  feed(lstm_w_);
-  feed(lstm_b_);
-  feed(gru_w_rz_);
-  feed(gru_b_rz_);
-  feed(gru_w_xn_);
-  feed(gru_w_hn_);
-  feed(gru_b_n_);
-  feed(norm_mean_);
-  feed(norm_inv_std_);
-  feed(action_bias_);
-  return crc;
 }
 
 std::string InferencePlan::Describe() const {

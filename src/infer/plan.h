@@ -86,12 +86,6 @@ class InferencePlan {
   /// Total bytes of packed weights held by this plan (what sharding N
   /// ways would duplicate without the shared_ptr handoff).
   size_t memory_bytes() const;
-  /// CRC-32 over every packed weight buffer in a fixed walk order (the
-  /// same buffers memory_bytes counts). Two plans frozen from agents
-  /// with bit-identical parameters checksum equal; hot-swap logging and
-  /// the bench use it to tell "same weights, new plan object" from an
-  /// actual model change without comparing outputs.
-  uint32_t WeightChecksum() const;
   /// One-line human-readable summary for logs.
   std::string Describe() const;
 

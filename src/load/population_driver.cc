@@ -281,9 +281,6 @@ PopulationReport PopulationDriver::Run() {
       if (config_.queue_depth_source) {
         sample.queue_depth = config_.queue_depth_source();
       }
-      if (config_.generation_source) {
-        sample.generation = config_.generation_source();
-      }
       sample.tick_p50_us = tick_latency_.Quantile(0.50);
       sample.tick_p99_us = tick_latency_.Quantile(0.99);
       report_.timeline.push_back(sample);

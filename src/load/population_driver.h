@@ -88,11 +88,6 @@ struct PopulationDriverConfig {
   /// count and summed shard queue depth).
   std::function<int()> shard_count_source;
   std::function<double()> queue_depth_source;
-  /// Checkpoint generation currently being served (a
-  /// serve::CheckpointWatcher's generation()); sampled per tick so the
-  /// hot-swap bench's timeline shows exactly which requests each
-  /// generation answered. 0 rows when unset.
-  std::function<uint64_t()> generation_source;
 
   bool record_timeline = true;
 };
@@ -108,7 +103,6 @@ struct TickSample {
   uint64_t failed = 0;    // of which faulted
   int shards = 0;         // shard_count_source (0 when unset)
   double queue_depth = 0.0;
-  uint64_t generation = 0;  // generation_source (0 when unset)
   double tick_p50_us = 0.0;  // client-observed, this tick only
   double tick_p99_us = 0.0;
 };

@@ -17,9 +17,10 @@ namespace sim2rec {
 namespace serve {
 
 struct CheckpointWatcherConfig {
-  /// Directory whose immediate subdirectories are checkpoint bundles
-  /// (the layout CheckpointExportObserver's generation mode writes:
-  /// `dir/gen-000002/manifest.txt` etc.).
+  /// Directory whose immediate subdirectories are checkpoint bundles,
+  /// e.g. `dir/gen-000002/manifest.txt`. A publisher writes each one
+  /// with serve::SaveCheckpoint and a metadata.generation above the
+  /// last; the staged manifest rename makes the publish atomic.
   std::string dir;
   /// Background poll cadence for Start(); PollOnce() ignores it.
   int poll_interval_ms = 1000;

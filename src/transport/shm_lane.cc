@@ -252,6 +252,10 @@ class ShmChannel : public ByteChannel {
   }
 
   void ShutdownBoth() override {
+    // Kept here as well as in the lane: once the peer sees the stamp it
+    // may ResetForNextClient, which clears the lane's copy while this
+    // end's receiver may still be parked.
+    shut_down_.store(true, std::memory_order_release);
     StampGone(self_gone_, epoch_);
     WakeEverything();
   }
@@ -280,6 +284,7 @@ class ShmChannel : public ByteChannel {
     // previous client is a different (smaller) value and is ignored.
     return self_gone_->load(std::memory_order_acquire) == epoch_ ||
            peer_gone_->load(std::memory_order_acquire) == epoch_ ||
+           shut_down_.load(std::memory_order_acquire) ||
            !valid_.load(std::memory_order_acquire);
   }
 
@@ -366,6 +371,7 @@ class ShmChannel : public ByteChannel {
   std::atomic<uint32_t>* peer_gone_;
   uint32_t epoch_;
   std::atomic<bool> valid_{true};
+  std::atomic<bool> shut_down_{false};
 };
 
 }  // namespace

@@ -408,40 +408,6 @@ TEST(Freeze, CorruptNormalizerStatsAreRejectedNotFatal) {
       << frozen.error;
 }
 
-TEST(Freeze, WeightChecksumDistinguishesWeightsNotPlanObjects) {
-  // Two plans frozen from bit-identical parameters checksum equal —
-  // that is what lets hot-swap logging say "same weights, new plan
-  // object" without comparing outputs.
-  AgentBundle a = MakeAgent(Variant::kLstmSadae, /*seed=*/7);
-  AgentBundle same = MakeAgent(Variant::kLstmSadae, /*seed=*/7);
-  AgentBundle other = MakeAgent(Variant::kLstmSadae, /*seed=*/8);
-
-  FreezeResult plan_a = InferencePlan::Freeze(*a.agent);
-  FreezeResult plan_same = InferencePlan::Freeze(*same.agent);
-  FreezeResult plan_other = InferencePlan::Freeze(*other.agent);
-  ASSERT_TRUE(plan_a.ok() && plan_same.ok() && plan_other.ok());
-
-  EXPECT_EQ(plan_a.plan->WeightChecksum(), plan_same.plan->WeightChecksum());
-  EXPECT_NE(plan_a.plan->WeightChecksum(), plan_other.plan->WeightChecksum());
-
-  // A one-parameter change is visible in the checksum.
-  std::vector<double> params = a.agent->FlatParams();
-  params[params.size() / 2] += 0.5;
-  a.agent->SetFlatParams(params);
-  FreezeResult plan_tweaked = InferencePlan::Freeze(*a.agent);
-  ASSERT_TRUE(plan_tweaked.ok());
-  EXPECT_NE(plan_tweaked.plan->WeightChecksum(),
-            plan_same.plan->WeightChecksum());
-
-  // Variant structure changes the checksum too (walk order covers every
-  // packed buffer, not just the first).
-  AgentBundle plain = MakeAgent(Variant::kLstmPlain, /*seed=*/7);
-  FreezeResult plan_plain = InferencePlan::Freeze(*plain.agent);
-  ASSERT_TRUE(plan_plain.ok());
-  EXPECT_NE(plan_plain.plan->WeightChecksum(),
-            plan_same.plan->WeightChecksum());
-}
-
 TEST(Freeze, CheckpointFreezePlanEntryPoint) {
   serve::LoadedPolicy empty;
   EXPECT_EQ(serve::FreezePlan(empty), nullptr);  // no agent: soft null

@@ -399,41 +399,6 @@ TEST(FlakyService, EndSessionFaultsAreCountedNotFatal) {
   EXPECT_EQ(report.sessions_finished, report.sessions_ended_gracefully);
 }
 
-TEST(PopulationDriver, TimelineRecordsServedGenerationPerTick) {
-  // The hot-swap bench's timeline column: generation_source is sampled
-  // once per tick, so each row says which checkpoint generation
-  // answered that tick's requests.
-  PureService service;
-  PopulationDriverConfig config = SmallDriverConfig();
-  config.record_timeline = true;
-  uint64_t generation = 1;
-  config.generation_source = [&generation] { return generation; };
-  config.tick_hook = [&generation](int tick) {
-    if (tick == 7) generation = 2;  // "hot swap" between ticks 7 and 8
-  };
-  PopulationDriver driver(&service, config);
-  const PopulationReport report = driver.Run();
-
-  ASSERT_GT(report.timeline.size(), 8u);
-  for (const TickSample& sample : report.timeline) {
-    // tick_hook runs after the tick's sample is recorded, so the swap
-    // at hook(7) is first visible in tick 8's row.
-    EXPECT_EQ(sample.generation, sample.tick <= 7 ? 1u : 2u)
-        << "tick " << sample.tick;
-  }
-
-  // Unset source: the column stays 0 (and the driver never calls it).
-  PureService plain_service;
-  PopulationDriverConfig plain = SmallDriverConfig();
-  plain.record_timeline = true;
-  PopulationDriver plain_driver(&plain_service, plain);
-  const PopulationReport plain_report = plain_driver.Run();
-  ASSERT_FALSE(plain_report.timeline.empty());
-  for (const TickSample& sample : plain_report.timeline) {
-    EXPECT_EQ(sample.generation, 0u);
-  }
-}
-
 TEST(FlakyService, MidRunShardRemovalLosesNoSessions) {
   // Rip a shard out (and add a new one) while the population is live:
   // the router's drain-and-migrate reshard must keep every request

@@ -1167,9 +1167,9 @@ TEST(Checkpoint, GenerationRoundTripAndInfoPeek) {
 // and the CheckpointWatcher that drives them (PR 10 tentpole).
 // ---------------------------------------------------------------------------
 
-/// Saves `agent` as generation `generation` under `base/gen-NNNNNN`
-/// (the layout CheckpointExportObserver's generation mode produces and
-/// the CheckpointWatcher scans). Returns the bundle directory.
+/// Publishes `agent` as generation `generation` under `base/gen-NNNNNN`,
+/// the layout the CheckpointWatcher scans: SaveCheckpoint with
+/// metadata.generation set. Returns the bundle directory.
 std::string SaveGeneration(const fs::path& base, core::ContextAgent& agent,
                            uint64_t generation) {
   char name[32];

@@ -487,25 +487,42 @@ TEST(Transport, SocketPathIsBitwiseIdenticalToInProcess) {
   sadae::Sadae sadae_model(TinySadaeConfig(), rng);
   core::ContextAgent agent(TinySim2RecConfig(), &sadae_model, rng);
 
+  // Users [0, kUsers) go through one client in order. Users
+  // [kUsers, kAllUsers) go through kClients more clients at once, each
+  // on its own thread and connection, pipelining one step of all its
+  // users per round trip, so requests meet in the router's batches.
   constexpr int kUsers = 6;
+  constexpr int kClients = 3;
+  constexpr int kAllUsers = kUsers + 8 * kClients;
   constexpr int kSteps = 4;
   const serve::ServeRouterConfig router_config{};
 
   // In-process reference.
-  std::vector<std::vector<serve::ServeReply>> reference(kUsers);
+  std::vector<std::vector<serve::ServeReply>> reference(kAllUsers);
   {
     serve::ServeRouter router(&agent, router_config, /*initial_shards=*/2);
-    for (int u = 0; u < kUsers; ++u) {
+    for (int u = 0; u < kAllUsers; ++u) {
       for (int t = 0; t < kSteps; ++t) {
         reference[u].push_back(router.Act(u, ObsFor(u, t)));
       }
     }
   }
+  const auto expect_reference = [&reference](const serve::ServeReply& got,
+                                             int u, int t) {
+    const serve::ServeReply& want = reference[u][t];
+    EXPECT_TRUE(BitwiseEqual(got.action, want.action))
+        << "user=" << u << " step=" << t;
+    uint64_t got_bits, want_bits;
+    std::memcpy(&got_bits, &got.value, 8);
+    std::memcpy(&want_bits, &want.value, 8);
+    EXPECT_EQ(got_bits, want_bits) << "user=" << u << " step=" << t;
+    EXPECT_EQ(got.exec_clamped, want.exec_clamped);
+  };
 
   // Same topology behind the transport.
   serve::ServeRouter router(&agent, router_config, /*initial_shards=*/2);
   PolicyServerConfig server_config;
-  server_config.num_workers = 2;
+  server_config.num_workers = 1 + kClients;
   server_config.metrics_source = [&router] { return router.MergedMetrics(); };
   PolicyServer server(&router, server_config);
   ASSERT_TRUE(server.Start());
@@ -516,15 +533,35 @@ TEST(Transport, SocketPathIsBitwiseIdenticalToInProcess) {
       serve::ServeReply reply;
       ASSERT_EQ(client.TryAct(u, ObsFor(u, t), &reply),
                 TransportStatus::kOk);
-      const serve::ServeReply& want = reference[u][t];
-      EXPECT_TRUE(BitwiseEqual(reply.action, want.action))
-          << "user=" << u << " step=" << t;
-      uint64_t got_bits, want_bits;
-      std::memcpy(&got_bits, &reply.value, 8);
-      std::memcpy(&want_bits, &want.value, 8);
-      EXPECT_EQ(got_bits, want_bits) << "user=" << u << " step=" << t;
-      EXPECT_EQ(reply.exec_clamped, want.exec_clamped);
+      expect_reference(reply, u, t);
     }
+  }
+
+  std::vector<std::vector<serve::ServeReply>> concurrent(
+      kAllUsers, std::vector<serve::ServeReply>(kSteps));
+  std::atomic<int> failed{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      PolicyClient own(ClientFor(server));
+      for (int t = 0; t < kSteps; ++t) {
+        std::vector<PolicyClient::ActHandle> handles;
+        for (int u = kUsers + c; u < kAllUsers; u += kClients) {
+          handles.push_back(own.SubmitAct(u, ObsFor(u, t)));
+        }
+        const std::vector<PolicyClient::ActResult> results =
+            own.AwaitAll(handles);
+        for (size_t i = 0; i < results.size(); ++i) {
+          if (results[i].status != TransportStatus::kOk) failed.fetch_add(1);
+          concurrent[kUsers + c + kClients * i][t] = results[i].reply;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_EQ(failed.load(), 0);
+  for (int u = kUsers; u < kAllUsers; ++u) {
+    for (int t = 0; t < kSteps; ++t) expect_reference(concurrent[u][t], u, t);
   }
 
   // The merged serve.* metrics are fetchable over the same connection.
@@ -533,7 +570,7 @@ TEST(Transport, SocketPathIsBitwiseIdenticalToInProcess) {
   bool found = false;
   for (const auto& counter : merged.counters) {
     if (counter.name == "serve.requests") {
-      EXPECT_EQ(counter.value, kUsers * kSteps);
+      EXPECT_EQ(counter.value, kAllUsers * kSteps);
       found = true;
     }
   }
@@ -1348,6 +1385,34 @@ TEST(ShmLaneTest, CarriesFramesBitwiseAndRecyclesAcrossClients) {
   EXPECT_TRUE(lane->claimed());
 }
 
+TEST(ShmLaneTest, OwnShutdownStaysClosedAfterLaneRecycle) {
+  // A client's ShutdownBoth stamps the lane's client_gone; the server
+  // may see it and ResetForNextClient, which clears that stamp, before
+  // the client's receiver next looks. The receiver must still read its
+  // own hangup as kClosed at once, not park until the timeout.
+  if (!ShmAvailable()) GTEST_SKIP() << "POSIX shm unavailable here";
+  const std::string name = UniqueShmName("recycle");
+  ShmLaneConfig lane_config;
+  lane_config.ring_bytes = 1 << 16;
+  lane_config.max_frame_bytes = 1 << 14;
+  auto lane = ShmLane::Create(name, lane_config);
+  ASSERT_NE(lane, nullptr);
+  auto attached = ShmLane::Attach(name);
+  ASSERT_NE(attached, nullptr);
+  auto client_channel = attached->ClientChannel();
+
+  client_channel->ShutdownBoth();
+  EXPECT_TRUE(lane->client_departed());
+  lane->ResetForNextClient();
+
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(client_channel->WaitReadable(1000), IoStatus::kClosed);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(500));
+  char byte = 0;
+  EXPECT_EQ(client_channel->WriteFull(&byte, 1, 1000), IoStatus::kClosed);
+}
+
 TEST(ShmTransport, PolicyServerServesShmLaneEndToEnd) {
   if (!ShmAvailable()) GTEST_SKIP() << "POSIX shm unavailable here";
   FakeEchoService service;
@@ -1421,14 +1486,75 @@ TEST(ShmTransport, PolicyServerServesShmLaneEndToEnd) {
   EXPECT_GE(server.stats().shm_sessions, 1);
 }
 
+/// Smallest bucket index holding the p99 mass of a snapshotted
+/// histogram (the bucket exemplar triage starts from); -1 when empty.
+int P99Bucket(const obs::HistogramSample& histogram) {
+  int64_t total = 0;
+  for (const int64_t c : histogram.buckets) total += c;
+  if (total == 0) return -1;
+  const int64_t rank =
+      static_cast<int64_t>(0.99 * static_cast<double>(total));
+  int64_t seen = 0;
+  for (size_t b = 0; b < histogram.buckets.size(); ++b) {
+    seen += histogram.buckets[b];
+    if (seen > rank) return static_cast<int>(b);
+  }
+  return static_cast<int>(histogram.buckets.size()) - 1;
+}
+
+/// Polls the global registry until the transport.request_us exemplar
+/// stamped `trace_id` appears (the server records that histogram after
+/// writing the reply, so the client can observe the reply a beat
+/// before the exemplar lands). Returns false after 5 s; on success
+/// fills the exemplar and the histogram it sat in.
+bool AwaitRequestExemplar(uint64_t trace_id, obs::ExemplarSample* exemplar,
+                          obs::HistogramSample* histogram) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const obs::MetricsSnapshot snapshot =
+        obs::MetricsRegistry::Global().Snapshot();
+    for (const obs::HistogramSample& h : snapshot.histograms) {
+      if (h.name != "transport.request_us") continue;
+      for (const obs::ExemplarSample& e : h.exemplars) {
+        if (e.trace_id != trace_id) continue;
+        *exemplar = e;
+        *histogram = h;
+        return true;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+bool HasActSpan(const std::vector<obs::TraceEvent>& events,
+                uint64_t trace_id) {
+  for (const obs::TraceEvent& event : events) {
+    if (std::string(event.name) == "transport/act" &&
+        event.trace_id == trace_id) {
+      return true;
+    }
+  }
+  return false;
+}
+
 TEST(Transport, TraceIdPropagatesToServerSpansAndExemplars) {
   const bool was_enabled = obs::Enabled();
   obs::SetEnabled(true);
   obs::MetricsRegistry::Global().ResetAll();
   obs::TraceRecorder::Global().Start();
 
+  // The last of kRequests Acts is held for kDelayMs: one slow request
+  // among fast ones, the latency tail exemplar triage walks back from.
+  constexpr int kRequests = 50;
+  constexpr int kDelayMs = 20;
   FakeEchoService service;
-  PolicyServer server(&service, PolicyServerConfig{});
+  load::FlakyConfig flaky_config;
+  flaky_config.delay_every_n = kRequests;
+  flaky_config.delay_ms = kDelayMs;
+  load::FlakyPolicyService flaky(&service, flaky_config);
+  PolicyServer server(&flaky, PolicyServerConfig{});
   ASSERT_TRUE(server.Start());
   PolicyClient client(ClientFor(server));
 
@@ -1439,42 +1565,38 @@ TEST(Transport, TraceIdPropagatesToServerSpansAndExemplars) {
     ASSERT_EQ(client.TryAct(11, ObsFor(11, 0), &reply),
               TransportStatus::kOk);
   }
+
+  // The id crossed the wire: the server's latency histogram retained an
+  // exemplar stamped with it ...
+  obs::ExemplarSample exemplar;
+  obs::HistogramSample request_us;
+  EXPECT_TRUE(AwaitRequestExemplar(kTraceId, &exemplar, &request_us));
+
+  // ... and so does the slow request, at the p99 end of the histogram.
+  constexpr uint64_t kSlowTraceId = 0x5100F0123456789AULL;
+  for (int i = 1; i < kRequests - 1; ++i) {
+    serve::ServeReply reply;
+    ASSERT_EQ(client.TryAct(12, ObsFor(12, i), &reply),
+              TransportStatus::kOk);
+  }
+  {
+    obs::TraceIdScope scope(kSlowTraceId);
+    serve::ServeReply reply;
+    ASSERT_EQ(client.TryAct(13, ObsFor(13, 0), &reply),
+              TransportStatus::kOk);
+  }
+  EXPECT_EQ(flaky.stats().injected_delays, 1);
+  ASSERT_TRUE(AwaitRequestExemplar(kSlowTraceId, &exemplar, &request_us));
+  EXPECT_GE(exemplar.value, kDelayMs * 1000.0);
+  EXPECT_GE(exemplar.bucket, P99Bucket(request_us));
   obs::TraceRecorder::Global().Stop();
 
-  // The id crossed the wire: a server-side transport/act span carries
-  // it (the server thread, not the client thread, recorded that span).
-  bool span_found = false;
-  for (const obs::TraceEvent& event :
-       obs::TraceRecorder::Global().EventsSnapshot()) {
-    if (std::string(event.name) == "transport/act" &&
-        event.trace_id == kTraceId) {
-      span_found = true;
-    }
-  }
-  EXPECT_TRUE(span_found);
-
-  // ... and the server's latency histogram retained an exemplar
-  // stamped with the same id. The server records that histogram after
-  // writing the reply (the measured latency includes the reply write),
-  // so the client can observe the reply a beat before the exemplar
-  // lands in the registry — poll briefly instead of snapshotting once.
-  bool exemplar_found = false;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!exemplar_found && std::chrono::steady_clock::now() < deadline) {
-    const obs::MetricsSnapshot snapshot =
-        obs::MetricsRegistry::Global().Snapshot();
-    for (const obs::HistogramSample& h : snapshot.histograms) {
-      if (h.name != "transport.request_us") continue;
-      for (const obs::ExemplarSample& exemplar : h.exemplars) {
-        if (exemplar.trace_id == kTraceId) exemplar_found = true;
-      }
-    }
-    if (!exemplar_found) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  EXPECT_TRUE(exemplar_found);
+  // A server-side transport/act span carries each id (the server
+  // thread, not the client thread, recorded it).
+  const std::vector<obs::TraceEvent> events =
+      obs::TraceRecorder::Global().EventsSnapshot();
+  EXPECT_TRUE(HasActSpan(events, kTraceId));
+  EXPECT_TRUE(HasActSpan(events, kSlowTraceId));
   obs::SetEnabled(was_enabled);
 }
 
