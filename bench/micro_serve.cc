@@ -1,17 +1,15 @@
 // Microbenchmark of the policy-serving subsystem (src/serve) and its
-// carriers: closed loops of simulated LTS users against a checkpoint
-// exported by the LTS experiment pipeline.
+// TCP transport: closed loops of simulated LTS users against a
+// checkpoint exported by the LTS experiment pipeline.
 //
 // Measured / asserted:
-//   2.5  Carriers: one closed loop against a 2-shard ServeRouter, run
-//        in process, over loopback TCP and over the shm lane (4 clients
-//        each); every carrier's per-user streams must equal the
-//        in-process ones bit for bit, and the server's metrics must be
-//        fetchable over the wire.
-//   2.6  Fast lanes: (a) one TCP connection pipelined at depth 8 must
-//        reach 3x the rate of the same connection used serially; (b)
-//        with one-row batches the shm lane must beat loopback TCP on
-//        exact p50 and p99.
+//   2.5  Transport overhead: one closed loop against a 2-shard
+//        ServeRouter, run in process and over loopback TCP (4 clients
+//        each); the loopback per-user streams must equal the in-process
+//        ones bit for bit, and the server's metrics must be fetchable
+//        over the wire.
+//   2.6  Pipelining: (a) one TCP connection pipelined at depth 8 must
+//        reach 3x the rate of the same connection used serially.
 //   3    Shard scaling: the closed loop against a consistent-hash
 //        ServeRouter at 1/2/4/8 shards x 1/2/4/8 clients, quantiles
 //        taken from the router's merged per-shard metrics
@@ -34,10 +32,7 @@
 // this box does not have; the bitwise check is load-bearing
 // regardless.
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -57,7 +52,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "transport/http_endpoint.h"
-#include "transport/shm_lane.h"
 #include "serve/checkpoint.h"
 #include "serve/inference_server.h"
 #include "serve/policy_service.h"
@@ -181,7 +175,7 @@ class TimedService : public serve::PolicyService {
 
 /// Exact quantile over raw latency samples (sorts in place). The
 /// obs::LogHistogram is log2-bucketed — fine for dashboards, too
-/// coarse to compare two lanes that differ by tens of microseconds.
+/// coarse for rows that differ by tens of microseconds.
 double ExactQuantileUs(std::vector<double>* samples, double q) {
   if (samples->empty()) return 0.0;
   std::sort(samples->begin(), samples->end());
@@ -295,8 +289,7 @@ int Run(int argc, char** argv) {
     std::vector<std::vector<nn::Tensor>> action_log;
     PathRun() : obs_log(kWireUsers), action_log(kWireUsers) {}
   };
-  PathRun inproc, loopback, shmrun;
-  const bool shm_ok = transport::ShmAvailable();
+  PathRun inproc, loopback;
   {
     serve::ServeRouterConfig router_config;
     router_config.shard = ServerConfig(/*max_batch_size=*/16);
@@ -381,53 +374,9 @@ int Run(int argc, char** argv) {
                 static_cast<long long>(server.stats().malformed_frames));
     server.Shutdown();
   }
-  // The same replay over the shared-memory lane: identical frames,
-  // identical bits — only the byte carrier differs.
-  if (shm_ok) {
-    serve::ServeRouterConfig router_config;
-    router_config.shard = ServerConfig(/*max_batch_size=*/16);
-    serve::ServeRouter router(policy->agent.get(), router_config,
-                              /*num_shards=*/2);
-    transport::PolicyServerConfig server_config;
-    server_config.num_workers = 1;  // all traffic rides the lanes
-    server_config.shm_lanes = kWireClients;
-    server_config.shm_name =
-        "s2rbench." + std::to_string(getpid()) + ".wire";
-    transport::PolicyServer server(&router, server_config);
-    if (!server.Start() || server.shm_lane_count() != kWireClients) {
-      std::printf("FAIL: could not start the shm-lane PolicyServer\n");
-      return 1;
-    }
-    obs::LogHistogram latency;
-    Stopwatch stopwatch;
-    DriveClosedLoopWith(
-        [&](int) {
-          transport::PolicyClientConfig client_config;
-          client_config.endpoint = "shm://" + server_config.shm_name;
-          return std::make_shared<TimedService>(
-              std::make_shared<transport::PolicyClient>(client_config),
-              &latency);
-        },
-        kWireUsers, kWireClients, kWireSteps, &shmrun.obs_log,
-        &shmrun.action_log);
-    const double rate =
-        kWireUsers * static_cast<double>(kWireSteps) /
-        stopwatch.ElapsedSeconds();
-    std::printf("%-12s %-12.0f %-9.0f %-9.0f %-9.0f\n", "shm-lane",
-                rate, latency.Quantile(0.50), latency.Quantile(0.95),
-                latency.Quantile(0.99));
-    wire_csv.WriteRow("shm-lane",
-                      {rate, latency.Quantile(0.50),
-                       latency.Quantile(0.95), latency.Quantile(0.99)});
-    server.Shutdown();
-  } else {
-    std::printf("%-12s (skipped: POSIX shm unavailable)\n", "shm-lane");
-  }
   bool wire_identical = true;
   for (int u = 0; u < kWireUsers && wire_identical; ++u) {
-    if (loopback.action_log[u].size() != inproc.action_log[u].size() ||
-        (shm_ok &&
-         shmrun.action_log[u].size() != inproc.action_log[u].size())) {
+    if (loopback.action_log[u].size() != inproc.action_log[u].size()) {
       wire_identical = false;
       break;
     }
@@ -440,40 +389,23 @@ int Run(int argc, char** argv) {
         wire_identical = false;
         break;
       }
-      if (shm_ok &&
-          (!BitwiseEqual(shmrun.obs_log[u][t], inproc.obs_log[u][t]) ||
-           !BitwiseEqual(shmrun.action_log[u][t],
-                         inproc.action_log[u][t]))) {
-        std::printf("FAIL: user %d step %zu diverges between shm-lane "
-                    "and in-process serving\n", u, t);
-        wire_identical = false;
-        break;
-      }
     }
   }
   if (wire_identical) {
-    std::printf("%s actions bitwise-identical to in-process "
-                "(%d users x %d steps)\n",
-                shm_ok ? "loopback and shm-lane" : "loopback",
-                kWireUsers, kWireSteps);
+    std::printf("loopback actions bitwise-identical to in-process "
+                "(%d users x %d steps)\n", kWireUsers, kWireSteps);
   } else {
-    failed_gates.push_back("phase 2.5: carriers bitwise == in-process");
+    failed_gates.push_back("phase 2.5: loopback bitwise == in-process");
   }
 
-  // --- Phase 2.6: transport fast lanes. ---------------------------------
-  // Two claims, each measured where it is visible:
-  //
-  //   (a) Pipelining: against a batching server, one multiplexed v3
-  //       connection at depth 8 must reach >= 3x the request rate of
-  //       the same connection used serially. Depth-8 submissions
-  //       overlap, so they share batches and round trips. The bar was
-  //       set when every serial request also paid a fixed straggler
-  //       hold that pipelined batches skipped; with batching now driven
-  //       by overlap alone, the bar is due to be re-derived (ROADMAP).
-  //   (b) Lane latency: against a one-row-batch server (nothing to
-  //       drown the carrier), the shm lane must beat loopback TCP on
-  //       exact p50 AND p99 — the kernel socket stack leaves the
-  //       round trip.
+  // --- Phase 2.6: pipelining on one connection. -------------------------
+  //   (a) Against a batching server, one multiplexed v3 connection at
+  //       depth 8 must reach >= 3x the request rate of the same
+  //       connection used serially. Depth-8 submissions overlap, so
+  //       they share batches and round trips. The bar was set when
+  //       every serial request also paid a fixed straggler hold that
+  //       pipelined batches skipped; with batching now driven by
+  //       overlap alone, the bar is due to be re-derived (ROADMAP).
   {
     const int kFastUsers = 8;
     const int kFastN = (full ? 800 : 240);  // requests per row
@@ -481,7 +413,7 @@ int Run(int argc, char** argv) {
     for (int u = 0; u < kFastUsers; ++u) {
       fast_obs[u] = MakeUser(u).obs;
     }
-    std::printf("\nfast lanes — pipelining (batching server, max_batch=8, "
+    std::printf("\npipelining (batching server, max_batch=8, "
                 "%d requests/row):\n",
                 kFastN);
     std::printf("%-16s %-12s %-9s %-9s\n", "row", "req/sec", "p50(us)",
@@ -493,43 +425,27 @@ int Run(int argc, char** argv) {
     transport::PolicyServerConfig fast_server_config;
     fast_server_config.num_workers = 2;
     fast_server_config.dispatch_threads = 8;  // all 8 reach the server
-    const bool fast_shm = shm_ok;
-    fast_server_config.shm_lanes = fast_shm ? 1 : 0;
-    fast_server_config.shm_name =
-        "s2rbench." + std::to_string(getpid()) + ".fast";
     transport::PolicyServer fast_server(&batched, fast_server_config);
     if (!fast_server.Start()) {
-      std::printf("FAIL: could not start the fast-lane PolicyServer\n");
+      std::printf("FAIL: could not start the pipelining PolicyServer\n");
       return 1;
     }
 
-    // One row: `depth` in-flight requests on ONE connection of lane
-    // `endpoint`; returns req/sec and fills exact latency quantiles.
-    // Serial rows time each round trip; depth-8 rows time the round
-    // and attribute round/depth to each request (the pipelined tier's
-    // effective per-request cost).
-    const auto run_row = [&](const std::string& endpoint, int depth,
-                             const char* label, double* p50_us,
-                             double* p99_us) {
+    // One row: `depth` in-flight requests on ONE connection; returns
+    // req/sec and prints exact latency quantiles. Serial rows time each
+    // round trip; depth-8 rows time the round and attribute round/depth
+    // to each request (the pipelined tier's effective per-request
+    // cost).
+    const auto run_row = [&](int depth, const char* label) {
       transport::PolicyClientConfig client_config;
-      client_config.endpoint = endpoint;
+      client_config.port = fast_server.port();
       transport::PolicyClient client(client_config);
       std::vector<double> latencies;
       latencies.reserve(kFastN);
-      // Warm-up (connection + first batches). An shm lane vacated by
-      // the previous row's client takes a beat to recycle, so the
-      // first dial retries instead of failing the row.
-      for (int u = 0; u < kFastUsers; ++u) {
+      for (int u = 0; u < kFastUsers; ++u) {  // connection + first batches
         serve::ServeReply reply;
-        transport::TransportStatus status;
-        const double deadline_us = obs::MonotonicMicros() + 3.0e6;
-        do {
-          status = client.TryAct(u, fast_obs[u], &reply);
-          if (status == transport::TransportStatus::kConnectFailed) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-          }
-        } while (status == transport::TransportStatus::kConnectFailed &&
-                 obs::MonotonicMicros() < deadline_us);
+        const transport::TransportStatus status =
+            client.TryAct(u, fast_obs[u], &reply);
         if (status != transport::TransportStatus::kOk) {
           std::printf("%-16s warm-up failed: %s\n", label,
                       transport::TransportStatusName(status));
@@ -570,36 +486,20 @@ int Run(int argc, char** argv) {
       }
       const double rate =
           rounds * static_cast<double>(depth) / stopwatch.ElapsedSeconds();
-      *p50_us = ExactQuantileUs(&latencies, 0.50);
-      *p99_us = ExactQuantileUs(&latencies, 0.99);
-      std::printf("%-16s %-12.0f %-9.0f %-9.0f\n", label, rate, *p50_us,
-                  *p99_us);
-      fast_csv.WriteRow(label, {rate, *p50_us, *p99_us});
+      const double p50_us = ExactQuantileUs(&latencies, 0.50);
+      const double p99_us = ExactQuantileUs(&latencies, 0.99);
+      std::printf("%-16s %-12.0f %-9.0f %-9.0f\n", label, rate, p50_us,
+                  p99_us);
+      fast_csv.WriteRow(label, {rate, p50_us, p99_us});
       return rate;
     };
 
-    const std::string tcp_endpoint =
-        "transport://127.0.0.1:" + std::to_string(fast_server.port());
-    const std::string shm_endpoint =
-        "shm://" + fast_server_config.shm_name;
-    double p50 = 0.0, p99 = 0.0;
-    const double tcp_serial = run_row(tcp_endpoint, 1, "tcp-serial",
-                                      &p50, &p99);
-    const double tcp_pipelined = run_row(tcp_endpoint, 8, "tcp-pipelined8",
-                                         &p50, &p99);
-    double shm_serial = 0.0, shm_pipelined = 0.0;
-    if (fast_shm) {
-      shm_serial = run_row(shm_endpoint, 1, "shm-serial", &p50, &p99);
-      shm_pipelined = run_row(shm_endpoint, 8, "shm-pipelined8", &p50,
-                              &p99);
-    } else {
-      std::printf("%-16s (skipped: POSIX shm unavailable)\n", "shm-*");
-    }
+    const double tcp_serial = run_row(1, "tcp-serial");
+    const double tcp_pipelined = run_row(8, "tcp-pipelined8");
     fast_server.Shutdown();
-    if (tcp_serial <= 0.0 || tcp_pipelined <= 0.0 ||
-        (fast_shm && (shm_serial <= 0.0 || shm_pipelined <= 0.0))) {
-      std::printf("FAIL: a fast-lane row hit a transport error\n");
-      failed_gates.push_back("phase 2.6(a): fast-lane rows complete");
+    if (tcp_serial <= 0.0 || tcp_pipelined <= 0.0) {
+      std::printf("FAIL: a pipelining row hit a transport error\n");
+      failed_gates.push_back("phase 2.6(a): pipelining rows complete");
     } else {
       std::printf("pipelining speedup on one connection: %.2fx (bar: 3x)\n",
                   tcp_pipelined / tcp_serial);
@@ -609,112 +509,6 @@ int Run(int argc, char** argv) {
         failed_gates.push_back("phase 2.6(a): depth-8 pipelining >= 3x");
       }
     }
-
-    // (b) Lane latency: one-row batches, nothing queues in the way.
-    serve::InferenceServer unbatched(policy->agent.get(), ServerConfig(1));
-    transport::PolicyServerConfig lane_server_config;
-    lane_server_config.num_workers = 2;
-    lane_server_config.shm_lanes = fast_shm ? 1 : 0;
-    lane_server_config.shm_name =
-        "s2rbench." + std::to_string(getpid()) + ".lane";
-    transport::PolicyServer lane_server(&unbatched, lane_server_config);
-    if (!lane_server.Start()) {
-      std::printf("FAIL: could not start the lane-latency PolicyServer\n");
-      return 1;
-    }
-    const auto lane_row = [&](const std::string& endpoint,
-                              const char* label, double* p50_us,
-                              double* p99_us) {
-      transport::PolicyClientConfig client_config;
-      client_config.endpoint = endpoint;
-      transport::PolicyClient client(client_config);
-      std::vector<double> latencies;
-      // Enough samples that p99 is the ~15th-worst observation rather
-      // than a single scheduler hiccup; at tens of us per round trip
-      // the row still costs well under a second.
-      const int kLaneN = full ? 3000 : 1500;
-      latencies.reserve(kLaneN);
-      serve::ServeReply reply;
-      for (int i = 0; i < 20; ++i) {  // warm-up
-        transport::TransportStatus status;
-        const double deadline_us = obs::MonotonicMicros() + 3.0e6;
-        do {  // an shm lane vacated moments ago takes a beat to recycle
-          status = client.TryAct(i % kFastUsers, fast_obs[i % kFastUsers],
-                                 &reply);
-          if (status == transport::TransportStatus::kConnectFailed) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-          }
-        } while (status == transport::TransportStatus::kConnectFailed &&
-                 obs::MonotonicMicros() < deadline_us);
-        if (status != transport::TransportStatus::kOk) return false;
-      }
-      for (int i = 0; i < kLaneN; ++i) {
-        const int u = i % kFastUsers;
-        const double start_us = obs::MonotonicMicros();
-        if (client.TryAct(u, fast_obs[u], &reply) !=
-            transport::TransportStatus::kOk) {
-          return false;
-        }
-        latencies.push_back(obs::MonotonicMicros() - start_us);
-      }
-      *p50_us = ExactQuantileUs(&latencies, 0.50);
-      *p99_us = ExactQuantileUs(&latencies, 0.99);
-      std::printf("%-16s %-9.1f %-9.1f\n", label, *p50_us, *p99_us);
-      return true;
-    };
-    std::printf("\nfast lanes — carrier latency (one-row batches, "
-                "exact quantiles):\n");
-    std::printf("%-16s %-9s %-9s\n", "lane", "p50(us)", "p99(us)");
-    double tcp_p50 = 0.0, tcp_p99 = 0.0, shm_p50 = 0.0, shm_p99 = 0.0;
-    const std::string lane_tcp =
-        "transport://127.0.0.1:" + std::to_string(lane_server.port());
-    if (!fast_shm) {
-      if (!lane_row(lane_tcp, "loopback-tcp", &tcp_p50, &tcp_p99)) {
-        std::printf("FAIL: TCP lane-latency row hit a transport error\n");
-        failed_gates.push_back("phase 2.6(b): lane-latency rows complete");
-      }
-      std::printf("%-16s (skipped: POSIX shm unavailable)\n", "shm-lane");
-    } else {
-      // A single p99 estimate off a few hundred samples is at the mercy
-      // of one scheduler stall on a shared host, so re-measure both
-      // lanes together (up to 3 attempts) and take the best attempt:
-      // the claim under test is the carrier gap, not one run's tail.
-      bool shm_wins = false;
-      bool lane_error = false;
-      for (int attempt = 0; attempt < 3 && !shm_wins; ++attempt) {
-        if (attempt > 0) {
-          std::printf("(tail noise — re-measuring both lanes, "
-                      "attempt %d)\n", attempt + 1);
-        }
-        if (!lane_row(lane_tcp, "loopback-tcp", &tcp_p50, &tcp_p99)) {
-          std::printf("FAIL: TCP lane-latency row hit a transport "
-                      "error\n");
-          lane_error = true;
-          break;
-        }
-        if (!lane_row("shm://" + lane_server_config.shm_name, "shm-lane",
-                      &shm_p50, &shm_p99)) {
-          std::printf("FAIL: shm lane-latency row hit a transport "
-                      "error\n");
-          lane_error = true;
-          break;
-        }
-        shm_wins = shm_p50 < tcp_p50 && shm_p99 < tcp_p99;
-      }
-      if (lane_error) {
-        failed_gates.push_back("phase 2.6(b): lane-latency rows complete");
-      } else {
-        std::printf("shm vs tcp: p50 %.1f/%.1f us, p99 %.1f/%.1f us\n",
-                    shm_p50, tcp_p50, shm_p99, tcp_p99);
-        if (!shm_wins) {
-          std::printf("FAIL: shm lane did not beat loopback TCP on both "
-                      "p50 and p99\n");
-          failed_gates.push_back("phase 2.6(b): shm beats tcp on p50 and "
-                                 "p99");
-        }
-      }
-    }
-    lane_server.Shutdown();
   }
 
   // --- Phase 3: shard scaling (ServeRouter, merged shard metrics). ------

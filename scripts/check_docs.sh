@@ -6,10 +6,10 @@
 #   ./build/examples/<name>   build/tests/<name>   build-tsan/bench/<name>
 # and checks each <name> against the targets declared via
 # add_executable / s2r_add_test / s2r_add_bench / s2r_add_example.
-# Steps 3-7 check metric names, the protocol message-type table, the
+# Steps 3-8 check metric names, the protocol message-type table, the
 # architecture module map, the code names and config fields the docs
-# cite, and the flags they show after bench and example binaries (see
-# each step).
+# cite, the flags they show after bench and example binaries, and every
+# backticked snake_case name (see each step).
 #
 # Wired as the `check_docs` ctest (tests/CMakeLists.txt), so stale docs
 # fail CI the same way a broken test does.
@@ -219,4 +219,32 @@ if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED — docs show flags their binaries do not parse" >&2
   exit 1
 fi
-echo "check_docs: OK (binaries, metric names, message types, module map, code names and binary flags all check out)"
+# --- 8. Backticked snake_case names the docs cite must exist. ---------
+# A backticked span that is exactly one snake_case name points at a
+# config field, function, metric or script. Step 6 sees only ns::Name,
+# kName and fenced `.field =`, so a bare field or a deleted function in
+# prose would pass it. Each name must be a word somewhere in src/,
+# bench/, examples/, tests/, scripts/ or the root CMakeLists.txt, or
+# the Prometheus form of a dotted string literal in src/ (the metric
+# name with its dots turned into underscores, as /metrics prints it).
+# Name no example here: this file is in scripts/, so any name it
+# mentions would always pass.
+words_file="$(mktemp)"
+trap 'rm -f "$targets_file" "$words_file"' EXIT
+{
+  grep -rhoE '[A-Za-z0-9_]+' src bench examples tests scripts CMakeLists.txt
+  grep -rhoE '"[a-z][a-z0-9_]*(\.[a-z0-9_]+)+"' src | tr -d '"' | tr '.' '_'
+} | LC_ALL=C sort -u > "$words_file"
+for doc in README.md DESIGN.md docs/*.md; do
+  [ -e "$doc" ] || continue
+  for name in $(grep -oE '`[a-z][a-z0-9]*(_[a-z0-9]+)+`' "$doc" | tr -d '`' |
+      LC_ALL=C sort -u | LC_ALL=C comm -23 - "$words_file"); do
+    echo "check_docs: $doc cites '$name', which is no word in the code and no metric's Prometheus name" >&2
+    fail=1
+  done
+done
+if [ "$fail" -ne 0 ]; then
+  echo "check_docs: FAILED — docs cite snake_case names missing from the code" >&2
+  exit 1
+fi
+echo "check_docs: OK (binaries, metric names, message types, module map, code names, binary flags and snake_case names all check out)"

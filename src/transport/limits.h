@@ -25,7 +25,7 @@ constexpr size_t kDefaultMaxFrameBytes = size_t{4} << 20;
 ///    submit-to-reply deadline (overridable per request on the async
 ///    tier).
 ///  * connect_timeout_ms — client-side connection establishment (the
-///    TCP connect or the shm lane claim). Ignored by servers.
+///    TCP connect). Ignored by servers.
 struct Limits {
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   int request_timeout_ms = 5000;

@@ -36,8 +36,7 @@ std::chrono::steady_clock::time_point DeadlineFrom(int timeout_ms) {
 
 PolicyClient::PolicyClient(const PolicyClientConfig& config)
     : config_(config) {
-  S2R_CHECK_MSG(config.port > 0 || !config.endpoint.empty(),
-                "PolicyClient needs a port or an endpoint URI");
+  S2R_CHECK_MSG(config.port > 0, "PolicyClient needs a port");
   S2R_CHECK(config.limits.connect_timeout_ms > 0);
   S2R_CHECK(config.limits.request_timeout_ms > 0);
   S2R_CHECK(config.limits.max_frame_bytes > kFrameHeaderBytes);
@@ -48,17 +47,11 @@ PolicyClient::PolicyClient(const PolicyClientConfig& config)
 
 PolicyClient::~PolicyClient() { Close(); }
 
-std::string PolicyClient::EndpointString() const {
-  if (!config_.endpoint.empty()) return config_.endpoint;
-  return "transport://" + config_.host + ":" +
-         std::to_string(config_.port);
-}
-
 TransportStatus PolicyClient::Connect() { return EnsureConnected(); }
 
 TransportStatus PolicyClient::EnsureConnected() {
   std::lock_guard<std::mutex> lock(conn_mutex_);
-  if (channel_ != nullptr && !conn_dead_.load(std::memory_order_acquire)) {
+  if (socket_ != nullptr && !conn_dead_.load(std::memory_order_acquire)) {
     return TransportStatus::kOk;
   }
   return ConnectLocked();
@@ -69,26 +62,24 @@ TransportStatus PolicyClient::ConnectLocked() {
   // for it to fail any stragglers, so old state can never bleed into
   // the new stream.
   conn_dead_.store(true, std::memory_order_release);
-  if (channel_ != nullptr) channel_->ShutdownBoth();
+  if (socket_ != nullptr) socket_->ShutdownBoth();
   if (rx_thread_.joinable()) rx_thread_.join();
-  channel_.reset();
+  socket_.reset();
   {
     std::lock_guard<std::mutex> state_lock(mu_);
     abandoned_.clear();  // tombstones are per-connection
   }
 
-  std::shared_ptr<ByteChannel> channel =
-      Dial(EndpointString(), config_.limits);
-  if (channel == nullptr) {
+  TcpConnection conn = TcpConnection::Connect(
+      config_.host, config_.port, config_.limits.connect_timeout_ms);
+  if (!conn.valid()) {
     S2R_COUNT("transport.client.connect_failures", 1);
     return TransportStatus::kConnectFailed;
   }
 
-  ++generation_;
   conn_dead_.store(false, std::memory_order_release);
-  channel_ = std::move(channel);
-  rx_thread_ = std::thread(
-      [this, ch = channel_, gen = generation_] { ReceiverLoop(ch, gen); });
+  socket_ = std::make_shared<TcpConnection>(std::move(conn));
+  rx_thread_ = std::thread([this, socket = socket_] { ReceiverLoop(socket); });
   reconnects_.fetch_add(1, std::memory_order_relaxed);
   S2R_COUNT("transport.client.connects", 1);
   return TransportStatus::kOk;
@@ -97,9 +88,9 @@ TransportStatus PolicyClient::ConnectLocked() {
 void PolicyClient::Close() {
   std::lock_guard<std::mutex> lock(conn_mutex_);
   conn_dead_.store(true, std::memory_order_release);
-  if (channel_ != nullptr) channel_->ShutdownBoth();
+  if (socket_ != nullptr) socket_->ShutdownBoth();
   if (rx_thread_.joinable()) rx_thread_.join();
-  channel_.reset();
+  socket_.reset();
   // The receiver failed every pending request on its way out; anything
   // submitted after it exited is failed here.
   Poison(0, TransportStatus::kClosed);
@@ -125,11 +116,11 @@ uint64_t PolicyClient::Submit(MessageType type, const std::string& payload,
   const int timeout_ms =
       deadline_ms > 0 ? deadline_ms : config_.limits.request_timeout_ms;
 
-  std::shared_ptr<ByteChannel> channel;
+  std::shared_ptr<TcpConnection> socket;
   {
     std::lock_guard<std::mutex> lock(conn_mutex_);
     TransportStatus status = TransportStatus::kOk;
-    if (channel_ == nullptr ||
+    if (socket_ == nullptr ||
         conn_dead_.load(std::memory_order_acquire)) {
       status = ConnectLocked();
     }
@@ -142,7 +133,7 @@ uint64_t PolicyClient::Submit(MessageType type, const std::string& payload,
       pending.status = status;
       return id;
     }
-    channel = channel_;
+    socket = socket_;
   }
 
   requests_.fetch_add(1, std::memory_order_relaxed);
@@ -150,9 +141,8 @@ uint64_t PolicyClient::Submit(MessageType type, const std::string& payload,
   S2R_TRACE_SPAN("transport/client_request", "type",
                  static_cast<double>(static_cast<uint8_t>(type)));
 
-  // Register before writing: on a fast lane the reply can race back
-  // before this thread runs again, and the receiver must find the
-  // entry.
+  // Register before writing: the reply can race back before this
+  // thread runs again, and the receiver must find the entry.
   {
     std::lock_guard<std::mutex> lock(mu_);
     Pending& pending = pending_[id];
@@ -169,11 +159,11 @@ uint64_t PolicyClient::Submit(MessageType type, const std::string& payload,
     // receiver needs to complete replies while this write may be
     // blocked on a full socket buffer.
     std::lock_guard<std::mutex> lock(write_mutex_);
-    io = channel->WriteFull(frame.data(), frame.size(), timeout_ms);
+    io = socket->WriteFull(frame.data(), frame.size(), timeout_ms);
   }
   if (io != IoStatus::kOk) {
     // A partial frame corrupts the stream for every in-flight request.
-    channel->ShutdownBoth();
+    socket->ShutdownBoth();
     S2R_COUNT("transport.client.failures", 1);
     Poison(id, FromIo(io));
   }
@@ -217,16 +207,14 @@ TransportStatus PolicyClient::AwaitPayload(uint64_t id,
   return done.status;
 }
 
-void PolicyClient::ReceiverLoop(std::shared_ptr<ByteChannel> channel,
-                                int generation) {
-  (void)generation;  // diagnostics only; the channel copy is the identity
+void PolicyClient::ReceiverLoop(std::shared_ptr<TcpConnection> socket) {
   uint8_t header_bytes[kFrameHeaderBytes];
 
   // Any exit fails every in-flight request: replies can no longer
   // arrive once the receiver is gone.
   const auto fail_all = [&](TransportStatus status) {
     conn_dead_.store(true, std::memory_order_release);
-    channel->ShutdownBoth();
+    socket->ShutdownBoth();
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (auto& [id, pending] : pending_) {
@@ -243,15 +231,15 @@ void PolicyClient::ReceiverLoop(std::shared_ptr<ByteChannel> channel,
       fail_all(TransportStatus::kClosed);
       return;
     }
-    const IoStatus readable = channel->WaitReadable(kRxTickMs);
+    const IoStatus readable = socket->WaitReadable(kRxTickMs);
     if (readable == IoStatus::kTimeout) continue;
     if (readable != IoStatus::kOk) {
       fail_all(TransportStatus::kClosed);
       return;
     }
 
-    IoStatus io = channel->ReadFull(header_bytes, kFramePrefixBytes,
-                                    config_.limits.request_timeout_ms);
+    IoStatus io = socket->ReadFull(header_bytes, kFramePrefixBytes,
+                                   config_.limits.request_timeout_ms);
     if (io != IoStatus::kOk) {
       fail_all(TransportStatus::kClosed);
       return;
@@ -269,8 +257,8 @@ void PolicyClient::ReceiverLoop(std::shared_ptr<ByteChannel> channel,
       fail_all(TransportStatus::kMalformedReply);
       return;
     }
-    io = channel->ReadFull(header_bytes + kFramePrefixBytes, kRequestIdBytes,
-                           config_.limits.request_timeout_ms);
+    io = socket->ReadFull(header_bytes + kFramePrefixBytes, kRequestIdBytes,
+                          config_.limits.request_timeout_ms);
     if (io != IoStatus::kOk) {
       fail_all(TransportStatus::kClosed);
       return;
@@ -278,8 +266,8 @@ void PolicyClient::ReceiverLoop(std::shared_ptr<ByteChannel> channel,
     DecodeRequestId(header_bytes + kFramePrefixBytes, &header);
     std::string payload(header.payload_len, '\0');
     if (header.payload_len > 0) {
-      io = channel->ReadFull(payload.data(), payload.size(),
-                             config_.limits.request_timeout_ms);
+      io = socket->ReadFull(payload.data(), payload.size(),
+                            config_.limits.request_timeout_ms);
       if (io != IoStatus::kOk) {
         fail_all(TransportStatus::kClosed);
         return;

@@ -15,24 +15,22 @@
 
 #include "obs/metrics.h"
 #include "serve/policy_service.h"
-#include "transport/channel.h"
 #include "transport/limits.h"
+#include "transport/socket.h"
 #include "transport/wire.h"
 
 namespace sim2rec {
 namespace transport {
 
 struct PolicyClientConfig {
-  /// Where to dial. When `endpoint` is non-empty it wins and must be a
-  /// transport:// (TCP), tcp:// or shm:// URI; otherwise host/port are
-  /// used as "transport://host:port". Both lanes speak the identical
-  /// framed protocol — shm:// only swaps the byte carrier.
-  std::string endpoint;
+  /// The server to dial: a numeric IPv4 address and a port. A port
+  /// below 1 fails the constructor's check; one above 65535 fails to
+  /// connect with kConnectFailed.
   std::string host = "127.0.0.1";
   int port = 0;
 
   /// Framing and deadline bounds shared with the server
-  /// (transport/limits.h): connect_timeout_ms bounds Dial,
+  /// (transport/limits.h): connect_timeout_ms bounds the TCP connect,
   /// request_timeout_ms is the default per-request deadline (write +
   /// server + read), max_frame_bytes rejects oversized reply frames
   /// before any payload allocation.
@@ -61,8 +59,7 @@ struct PolicyClientStats {
 /// Client side of the serving transport. Implements
 /// serve::PolicyService, so everything written against the in-process
 /// interface — tests, benches, the closed-loop examples — runs
-/// unchanged with the policy on the other side of a socket or a
-/// shared-memory lane.
+/// unchanged with the policy on the other side of a socket.
 ///
 /// Three API levels:
 ///  * The PolicyService facade (Act / EndSession) assumes a healthy
@@ -104,7 +101,7 @@ struct PolicyClientStats {
 ///
 /// Replies carry raw IEEE-754 bytes, so an action decoded here is
 /// bitwise-identical to the one the in-process service produced
-/// (pinned by tests/transport_test.cc — over both lanes).
+/// (pinned by tests/transport_test.cc).
 ///
 /// Threading: safe from any number of threads. Submissions share one
 /// connection; a dedicated receiver thread completes handles as reply
@@ -207,24 +204,22 @@ class PolicyClient : public serve::PolicyService {
                                     std::string* reply_payload);
 
   TransportStatus EnsureConnected();
-  /// Dials and starts the receiver. Caller holds conn_mutex_.
+  /// Connects and starts the receiver. Caller holds conn_mutex_.
   TransportStatus ConnectLocked();
   /// Fails every pending request (kClosed), marks the connection dead
   /// and wakes the receiver. `this_id` (when nonzero) gets
   /// `this_status` instead of kClosed.
   void Poison(uint64_t this_id, TransportStatus this_status);
-  void ReceiverLoop(std::shared_ptr<ByteChannel> channel, int generation);
-  std::string EndpointString() const;
+  void ReceiverLoop(std::shared_ptr<TcpConnection> socket);
 
   PolicyClientConfig config_;
 
-  /// Connection state. conn_mutex_ guards channel replacement; writers
-  /// snapshot the shared_ptr so a racing Close can never free a channel
+  /// Connection state. conn_mutex_ guards socket replacement; writers
+  /// snapshot the shared_ptr so a racing Close can never free a socket
   /// mid-write.
   mutable std::mutex conn_mutex_;
-  std::shared_ptr<ByteChannel> channel_;  // guarded by conn_mutex_
-  std::thread rx_thread_;                 // guarded by conn_mutex_
-  int generation_ = 0;                    // guarded by conn_mutex_
+  std::shared_ptr<TcpConnection> socket_;  // guarded by conn_mutex_
+  std::thread rx_thread_;                  // guarded by conn_mutex_
   std::atomic<bool> conn_dead_{true};
 
   /// Outbound frame writes are serialized separately from the pending

@@ -1,6 +1,5 @@
 #include "transport/policy_server.h"
 
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
@@ -14,7 +13,7 @@ namespace {
 
 /// Idle tick between requests: how often a worker blocked on a quiet
 /// connection re-checks the stop flag. Bounds shutdown latency, not
-/// request latency (a readable channel is handled immediately).
+/// request latency (a readable connection is handled immediately).
 constexpr int kIdleTickMs = 50;
 
 }  // namespace
@@ -27,7 +26,6 @@ PolicyServer::PolicyServer(serve::PolicyService* service,
   S2R_CHECK(config.max_pending_connections >= 1);
   S2R_CHECK(config.dispatch_threads >= 1);
   S2R_CHECK(config.max_inflight_per_connection >= 1);
-  S2R_CHECK(config.shm_lanes >= 0);
   S2R_CHECK(config.limits.request_timeout_ms > 0);
   S2R_CHECK(config.limits.max_frame_bytes > kFrameHeaderBytes);
 }
@@ -45,40 +43,16 @@ bool PolicyServer::Start() {
   port_ = listener_.port();
   started_ = true;
 
-  for (int i = 0; i < config_.shm_lanes; ++i) {
-    ShmLaneConfig lane_config;
-    lane_config.ring_bytes = config_.shm_ring_bytes;
-    lane_config.max_frame_bytes = config_.limits.max_frame_bytes;
-    const std::string lane_name =
-        config_.shm_name + "." + std::to_string(i);
-    auto lane = ShmLane::Create(lane_name, lane_config);
-    if (lane == nullptr) {
-      // Shared memory unavailable or a stale segment in the way:
-      // degrade to TCP-only rather than refusing to serve.
-      S2R_LOG_ERROR("transport: cannot create shm lane %s; %s",
-                    lane_name.c_str(),
-                    i == 0 ? "serving TCP only"
-                           : "serving with fewer lanes");
-      break;
-    }
-    lanes_.push_back(std::move(lane));
-  }
-
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   for (int i = 0; i < config_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
-  for (auto& lane : lanes_) {
-    pumps_.emplace_back([this, raw = lane.get()] { PumpLoop(raw); });
-  }
   for (int i = 0; i < config_.dispatch_threads; ++i) {
     dispatchers_.emplace_back([this] { DispatcherLoop(); });
   }
-  S2R_LOG_INFO(
-      "transport: serving on %s:%d (%d workers, %d dispatchers, "
-      "%zu shm lanes)",
-      config_.host.c_str(), port_, config_.num_workers,
-      config_.dispatch_threads, lanes_.size());
+  S2R_LOG_INFO("transport: serving on %s:%d (%d workers, %d dispatchers)",
+               config_.host.c_str(), port_, config_.num_workers,
+               config_.dispatch_threads);
   return true;
 }
 
@@ -100,14 +74,11 @@ void PolicyServer::Shutdown() {
   // thread is polling would race.
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.Close();
-  // Workers and pumps drain their connections' in-flight requests
-  // before returning, which requires live dispatchers — so those are
-  // stopped last.
+  // Workers drain their connections' in-flight requests before
+  // returning, which requires live dispatchers — so those are stopped
+  // last.
   for (auto& worker : workers_) {
     if (worker.joinable()) worker.join();
-  }
-  for (auto& pump : pumps_) {
-    if (pump.joinable()) pump.join();
   }
   {
     std::lock_guard<std::mutex> dispatch_lock(dispatch_mutex_);
@@ -117,7 +88,6 @@ void PolicyServer::Shutdown() {
   for (auto& dispatcher : dispatchers_) {
     if (dispatcher.joinable()) dispatcher.join();
   }
-  lanes_.clear();  // unlinks the shm segments
   std::lock_guard<std::mutex> queue_lock(queue_mutex_);
   pending_.clear();
 }
@@ -131,7 +101,6 @@ PolicyServerStats PolicyServer::stats() const {
   stats.requests = requests_.load(std::memory_order_relaxed);
   stats.dispatched_requests =
       dispatched_requests_.load(std::memory_order_relaxed);
-  stats.shm_sessions = shm_sessions_.load(std::memory_order_relaxed);
   stats.malformed_frames =
       malformed_frames_.load(std::memory_order_relaxed);
   stats.errors_sent = errors_sent_.load(std::memory_order_relaxed);
@@ -181,33 +150,7 @@ void PolicyServer::WorkerLoop() {
       conn = std::move(pending_.front());
       pending_.pop_front();
     }
-    TcpChannel channel(std::move(conn));
-    ServeChannel(&channel);
-  }
-}
-
-void PolicyServer::PumpLoop(ShmLane* lane) {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    auto channel = lane->ServerChannel();
-    // ServeChannel idles on WaitReadable ticks until a client attaches
-    // and writes its first frame; a hangup (client_gone with the ring
-    // drained) reads as kClosed, same as a TCP disconnect.
-    ServeChannel(channel.get());
-    if (stop_.load(std::memory_order_relaxed)) return;
-    if (lane->claimed()) {
-      shm_sessions_.fetch_add(1, std::memory_order_relaxed);
-      S2R_COUNT("transport.shm_sessions", 1);
-    }
-    // Closing the channel raises server_gone and wakes the client;
-    // wait for it to acknowledge (client_gone) before recycling the
-    // rings — resetting under a still-mapped client would let a new
-    // claimant share the lane with the old one.
-    channel.reset();
-    while (!stop_.load(std::memory_order_relaxed) && lane->claimed() &&
-           !lane->client_departed()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    lane->ResetForNextClient();
+    ServeConnection(&conn);
   }
 }
 
@@ -233,7 +176,7 @@ void PolicyServer::DispatcherLoop() {
       // Reply unwritable: poison the connection and kick its reader
       // out of any blocked wait.
       task.conn->broken.store(true, std::memory_order_release);
-      task.conn->channel->ShutdownBoth();
+      task.conn->socket->ShutdownBoth();
     }
     {
       // Notify while still holding mu: the reader destroys ConnState
@@ -246,9 +189,9 @@ void PolicyServer::DispatcherLoop() {
   }
 }
 
-void PolicyServer::ServeChannel(ByteChannel* channel) {
+void PolicyServer::ServeConnection(TcpConnection* socket) {
   ConnState conn;
-  conn.channel = channel;
+  conn.socket = socket;
   uint8_t header[kFrameHeaderBytes];
   // Set when the reader gives up on the stream with something to tell
   // the peer first (framing lost, or a frame of another version).
@@ -259,12 +202,12 @@ void PolicyServer::ServeChannel(ByteChannel* channel) {
          !conn.broken.load(std::memory_order_acquire)) {
     // Idle tick: wait for the next request without holding a deadline
     // against a client that simply has nothing to ask yet.
-    const IoStatus readable = channel->WaitReadable(kIdleTickMs);
+    const IoStatus readable = socket->WaitReadable(kIdleTickMs);
     if (readable == IoStatus::kTimeout) continue;
     if (readable != IoStatus::kOk) break;
 
     // Bytes are flowing: the rest of the request runs on the deadline.
-    const IoStatus header_status = channel->ReadFull(
+    const IoStatus header_status = socket->ReadFull(
         header, kFramePrefixBytes, config_.limits.request_timeout_ms);
     if (header_status == IoStatus::kClosed) break;  // orderly hangup
     if (header_status != IoStatus::kOk) {
@@ -299,8 +242,8 @@ void PolicyServer::ServeChannel(ByteChannel* channel) {
     }
 
     const IoStatus id_status =
-        channel->ReadFull(header + kFramePrefixBytes, kRequestIdBytes,
-                          config_.limits.request_timeout_ms);
+        socket->ReadFull(header + kFramePrefixBytes, kRequestIdBytes,
+                         config_.limits.request_timeout_ms);
     if (id_status != IoStatus::kOk) {
       if (id_status == IoStatus::kTimeout) {
         timeouts_.fetch_add(1, std::memory_order_relaxed);
@@ -315,8 +258,8 @@ void PolicyServer::ServeChannel(ByteChannel* channel) {
     std::string payload(frame.payload_len, '\0');
     if (frame.payload_len > 0) {
       const IoStatus payload_status =
-          channel->ReadFull(payload.data(), payload.size(),
-                            config_.limits.request_timeout_ms);
+          socket->ReadFull(payload.data(), payload.size(),
+                           config_.limits.request_timeout_ms);
       if (payload_status != IoStatus::kOk) {
         if (payload_status == IoStatus::kTimeout) {
           timeouts_.fetch_add(1, std::memory_order_relaxed);
@@ -361,7 +304,7 @@ void PolicyServer::ServeChannel(ByteChannel* channel) {
   }
 
   // The reader is done with the socket, but dispatched requests still
-  // hold pointers to `conn` and the channel: drain before unwinding.
+  // hold pointers to `conn` and the socket: drain before unwinding.
   {
     std::unique_lock<std::mutex> lock(conn.mu);
     conn.cv.wait(lock, [&conn] { return conn.inflight == 0; });
@@ -490,8 +433,8 @@ bool PolicyServer::SendFrame(ConnState& conn, MessageType type,
     // Dispatchers finish in completion order; the write mutex keeps
     // their reply frames from interleaving on the byte stream.
     std::lock_guard<std::mutex> lock(conn.write_mutex);
-    status = conn.channel->WriteFull(frame.data(), frame.size(),
-                                     config_.limits.request_timeout_ms);
+    status = conn.socket->WriteFull(frame.data(), frame.size(),
+                                    config_.limits.request_timeout_ms);
   }
   if (status == IoStatus::kTimeout) {
     timeouts_.fetch_add(1, std::memory_order_relaxed);

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -14,9 +13,7 @@
 
 #include "obs/metrics.h"
 #include "serve/policy_service.h"
-#include "transport/channel.h"
 #include "transport/limits.h"
-#include "transport/shm_lane.h"
 #include "transport/socket.h"
 #include "transport/wire.h"
 
@@ -44,26 +41,14 @@ struct PolicyServerConfig {
   int max_pending_connections = 64;
 
   /// Threads executing dispatched requests, shared across all
-  /// connections and lanes. They are what lets one pipelined
-  /// connection have several Acts inside the batching server at once.
+  /// connections. They are what lets one pipelined connection have
+  /// several Acts inside the batching server at once.
   int dispatch_threads = 4;
   /// Per-connection cap on dispatched-but-unanswered requests. The
   /// reader stops pulling frames off a connection that has this many
-  /// in flight — TCP (or the shm ring filling up) pushes the
-  /// backpressure to the client, bounding server memory per
-  /// connection.
+  /// in flight — TCP pushes the backpressure to the client, bounding
+  /// server memory per connection.
   int max_inflight_per_connection = 32;
-
-  /// Same-host shared-memory fast lanes: segments
-  /// `s2r.<shm_name>.<i>` for i in [0, shm_lanes). 0 disables; when a
-  /// lane cannot be created (no /dev/shm) the server logs and serves
-  /// TCP only. Each lane carries one client at a time; clients dial
-  /// them with "shm://<shm_name>".
-  int shm_lanes = 0;
-  std::string shm_name = "policy";
-  /// Per-direction ring bytes for each lane; must exceed
-  /// limits.max_frame_bytes (Create refuses otherwise).
-  size_t shm_ring_bytes = (size_t{4} << 20) + (size_t{64} << 10);
 
   /// Framing and deadline bounds shared with the client and the HTTP
   /// endpoint (transport/limits.h): request_timeout_ms is the budget
@@ -89,7 +74,6 @@ struct PolicyServerStats {
   int64_t connections_rejected = 0;  // pending queue full
   int64_t requests = 0;              // well-formed frames handled
   int64_t dispatched_requests = 0;   // frames run on the dispatch pool
-  int64_t shm_sessions = 0;          // shm-lane client sessions completed
   int64_t malformed_frames = 0;      // bad magic / oversized / CRC
   int64_t errors_sent = 0;           // kError frames written
   int64_t timeouts = 0;              // request deadlines missed
@@ -98,12 +82,10 @@ struct PolicyServerStats {
 /// Blocking front end for any serve::PolicyService — an
 /// InferenceServer or a ServeRouter — speaking the framed protocol in
 /// transport/wire (documented byte-by-byte in docs/PROTOCOL.md) over
-/// TCP connections and, when configured, same-host shared-memory
-/// lanes. Both lanes run the identical frame codec; shm only swaps the
-/// byte carrier.
+/// TCP connections.
 ///
-/// Threading: one accept thread, num_workers connection readers, one
-/// pump thread per shm lane, and dispatch_threads request executors.
+/// Threading: one accept thread, num_workers connection readers and
+/// dispatch_threads request executors.
 /// A reader decodes frames and enqueues each request to the dispatch
 /// pool, so several requests from ONE connection can be inside the
 /// service concurrently, with replies written as they finish — tagged
@@ -136,10 +118,9 @@ class PolicyServer {
   PolicyServer(const PolicyServer&) = delete;
   PolicyServer& operator=(const PolicyServer&) = delete;
 
-  /// Binds, listens, creates shm lanes and spawns all threads. False
-  /// when the TCP address cannot be bound (shm-lane creation failure
-  /// only logs — the server degrades to TCP-only). Must be called at
-  /// most once.
+  /// Binds, listens and spawns all threads. False when the address
+  /// cannot be bound, the port included (config.port outside
+  /// [0, 65535]). Must be called at most once.
   bool Start();
 
   /// Drains in-flight requests, closes every connection and joins all
@@ -149,9 +130,6 @@ class PolicyServer {
   /// The bound port (resolves config.port == 0), valid after Start().
   int port() const { return port_; }
 
-  /// Number of shm lanes actually created (<= config.shm_lanes).
-  int shm_lane_count() const { return static_cast<int>(lanes_.size()); }
-
   PolicyServerStats stats() const;
 
  private:
@@ -160,7 +138,7 @@ class PolicyServer {
   /// dispatchers; inflight/cv implement both the backpressure cap and
   /// the drain-before-close barrier.
   struct ConnState {
-    ByteChannel* channel = nullptr;
+    TcpConnection* socket = nullptr;
     std::mutex write_mutex;
     std::mutex mu;
     std::condition_variable cv;
@@ -176,12 +154,11 @@ class PolicyServer {
 
   void AcceptLoop();
   void WorkerLoop();
-  void PumpLoop(ShmLane* lane);
   void DispatcherLoop();
-  /// Reads frames off one channel until hangup, framing loss or
+  /// Reads frames off one connection until hangup, framing loss or
   /// shutdown; waits for in-flight dispatched requests to drain before
   /// returning.
-  void ServeChannel(ByteChannel* channel);
+  void ServeConnection(TcpConnection* socket);
   /// Handles one well-framed message on a dispatcher thread. Returns
   /// false when the connection must close (reply unwritable).
   bool HandleFrame(ConnState& conn, const FrameHeader& header,
@@ -204,8 +181,6 @@ class PolicyServer {
 
   std::thread accept_thread_;
   std::vector<std::thread> workers_;
-  std::vector<std::unique_ptr<ShmLane>> lanes_;
-  std::vector<std::thread> pumps_;
 
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
@@ -221,7 +196,6 @@ class PolicyServer {
   std::atomic<int64_t> connections_rejected_{0};
   std::atomic<int64_t> requests_{0};
   std::atomic<int64_t> dispatched_requests_{0};
-  std::atomic<int64_t> shm_sessions_{0};
   std::atomic<int64_t> malformed_frames_{0};
   std::atomic<int64_t> errors_sent_{0};
   std::atomic<int64_t> timeouts_{0};

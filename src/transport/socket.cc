@@ -51,7 +51,12 @@ bool SetNoDelay(int fd) {
   return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) == 0;
 }
 
-bool FillAddr(const std::string& host, int port, struct sockaddr_in* addr) {
+/// False when `host` is not a numeric IPv4 address or `port` lies
+/// outside [min_port, 65535]; the cast to the 16-bit field would
+/// otherwise wrap an out-of-range port onto some other one.
+bool FillAddr(const std::string& host, int port, int min_port,
+              struct sockaddr_in* addr) {
+  if (port < min_port || port > 65535) return false;
   std::memset(addr, 0, sizeof(*addr));
   addr->sin_family = AF_INET;
   addr->sin_port = htons(static_cast<uint16_t>(port));
@@ -94,7 +99,7 @@ void TcpConnection::ShutdownBoth() {
 TcpConnection TcpConnection::Connect(const std::string& host, int port,
                                      int timeout_ms) {
   struct sockaddr_in addr;
-  if (!FillAddr(host, port, &addr)) return TcpConnection();
+  if (!FillAddr(host, port, /*min_port=*/1, &addr)) return TcpConnection();
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) return TcpConnection();
 
@@ -220,7 +225,7 @@ void TcpListener::Close() {
 bool TcpListener::Listen(const std::string& host, int port, int backlog) {
   Close();
   struct sockaddr_in addr;
-  if (!FillAddr(host, port, &addr)) return false;
+  if (!FillAddr(host, port, /*min_port=*/0, &addr)) return false;
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return false;
   int one = 1;

@@ -35,7 +35,8 @@ class TcpConnection {
   TcpConnection& operator=(const TcpConnection&) = delete;
 
   /// Connects to a numeric IPv4 address ("127.0.0.1") within
-  /// `timeout_ms`. Returns an invalid connection on failure.
+  /// `timeout_ms`. Returns an invalid connection on failure, and for a
+  /// port outside [1, 65535].
   static TcpConnection Connect(const std::string& host, int port,
                                int timeout_ms);
 
@@ -87,7 +88,8 @@ class TcpListener {
   TcpListener& operator=(const TcpListener&) = delete;
 
   /// Binds and listens. `port` 0 picks an ephemeral port; the resolved
-  /// port is available from port() afterwards. False on failure.
+  /// port is available from port() afterwards. False on failure, and
+  /// for a port outside [0, 65535].
   bool Listen(const std::string& host, int port, int backlog);
 
   /// Waits up to `timeout_ms` for a connection. Status is kOk with a

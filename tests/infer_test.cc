@@ -351,13 +351,17 @@ TEST(Simd, LevelNamesAndResolutionAreStable) {
   EXPECT_TRUE(level == SimdLevel::kScalar || level == SimdLevel::kAvx2);
   EXPECT_STREQ(SimdLevelName(SimdLevel::kScalar), "scalar");
   EXPECT_STREQ(SimdLevelName(SimdLevel::kAvx2), "avx2");
-  if (!Avx2Available()) EXPECT_EQ(level, SimdLevel::kScalar);
+  if (!Avx2Available()) {
+    EXPECT_EQ(level, SimdLevel::kScalar);
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Freeze hardening: corrupted or shape-mismatched inputs must yield
-// kInvalid with a diagnostic — never abort (serving falls back to the
-// double path).
+// kInvalid with a diagnostic — never abort. Serving has no path
+// without a plan: serve::FreezePlan returns null, a CheckpointWatcher
+// swap reports kFreezeFailed and keeps the old model, and an
+// InferenceServer refuses an agent it cannot freeze.
 // ---------------------------------------------------------------------------
 
 TEST(Freeze, NonFiniteParametersAreRejectedNotFatal) {

@@ -413,8 +413,12 @@ TEST(FlakyService, MidRunShardRemovalLosesNoSessions) {
   config.user_space = uint64_t{1} << 20;
   config.zipf_s = 0.0;
   config.tick_hook = [&router](int tick) {
-    if (tick == 4) EXPECT_TRUE(router.RemoveShard(2));
-    if (tick == 9) EXPECT_TRUE(router.AddShard(7));
+    if (tick == 4) {
+      EXPECT_TRUE(router.RemoveShard(2));
+    }
+    if (tick == 9) {
+      EXPECT_TRUE(router.AddShard(7));
+    }
   };
   PopulationDriver driver(&router, config);
   const PopulationReport report = driver.Run();

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -17,9 +15,7 @@
 #include "obs/metrics.h"
 #include "obs/snapshot_codec.h"
 #include "obs/trace.h"
-#include "transport/channel.h"
 #include "transport/http_endpoint.h"
-#include "transport/shm_lane.h"
 #include "sadae/sadae.h"
 #include "serve/inference_server.h"
 #include "serve/serve_router.h"
@@ -811,6 +807,41 @@ TEST(TransportClient, DeadPortIsConnectFailed) {
   EXPECT_EQ(client.Ping(), TransportStatus::kConnectFailed);
 }
 
+TEST(Transport, OutOfRangePortIsRefusedNotWrapped) {
+  // The address's port field is 16 bits: cast unchecked, 65536 + p
+  // would bind or reach port p, and -1 would bind port 65535.
+  int free_port;
+  {
+    TcpListener probe;
+    ASSERT_TRUE(probe.Listen("127.0.0.1", 0, 1));
+    free_port = probe.port();
+  }
+  FakeEchoService service;
+  PolicyServerConfig wrapped;
+  wrapped.port = 65536 + free_port;
+  PolicyServer refused(&service, wrapped);
+  EXPECT_FALSE(refused.Start());
+  TcpListener negative;
+  EXPECT_FALSE(negative.Listen("127.0.0.1", -1, 1));
+  HttpMetricsConfig http_config;
+  http_config.port = 65536 + free_port;
+  HttpMetricsServer http([] { return obs::MetricsSnapshot(); }, http_config);
+  EXPECT_FALSE(http.Start());
+
+  PolicyServer server(&service, PolicyServerConfig{});
+  ASSERT_TRUE(server.Start());
+  EXPECT_FALSE(
+      TcpConnection::Connect("127.0.0.1", 65536 + server.port(), 200).valid());
+  EXPECT_FALSE(TcpConnection::Connect("127.0.0.1", 0, 200).valid());
+  PolicyClientConfig config = ClientFor(server);
+  config.port = 65536 + server.port();
+  PolicyClient client(config);
+  serve::ServeReply reply;
+  EXPECT_EQ(client.TryAct(1, ObsFor(1, 0), &reply),
+            TransportStatus::kConnectFailed);
+  EXPECT_EQ(service.acts(), 0);
+}
+
 TEST(TransportClient, GarbageOrOtherVersionReplyIsMalformedAndHangupIsClosed) {
   TcpListener listener;
   ASSERT_TRUE(listener.Listen("127.0.0.1", 0, 4));
@@ -1249,241 +1280,6 @@ TEST(TransportAsync, HandlesRedeemExactlyOnce) {
   EXPECT_EQ(client.Await(handle, &reply), TransportStatus::kInvalidHandle);
   EXPECT_EQ(client.Await(PolicyClient::ActHandle{}, &reply),
             TransportStatus::kInvalidHandle);
-}
-
-// ---------------------------------------------------------------------------
-// Endpoint parsing and the shared-memory lane.
-// ---------------------------------------------------------------------------
-
-TEST(Endpoint, ParsesSchemesAndRejectsGarbage) {
-  Endpoint ep;
-  ASSERT_TRUE(ParseEndpoint("transport://127.0.0.1:7447", &ep));
-  EXPECT_EQ(ep.scheme, Endpoint::Scheme::kTcp);
-  EXPECT_EQ(ep.host, "127.0.0.1");
-  EXPECT_EQ(ep.port, 7447);
-
-  ASSERT_TRUE(ParseEndpoint("tcp://localhost:80", &ep));  // alias
-  EXPECT_EQ(ep.scheme, Endpoint::Scheme::kTcp);
-  EXPECT_EQ(ep.host, "localhost");
-  EXPECT_EQ(ep.port, 80);
-
-  ASSERT_TRUE(ParseEndpoint("shm://lane-name.0", &ep));
-  EXPECT_EQ(ep.scheme, Endpoint::Scheme::kShm);
-  EXPECT_EQ(ep.name, "lane-name.0");
-
-  EXPECT_FALSE(ParseEndpoint("", &ep));
-  EXPECT_FALSE(ParseEndpoint("http://x:1", &ep));
-  EXPECT_FALSE(ParseEndpoint("transport://hostonly", &ep));
-  EXPECT_FALSE(ParseEndpoint("transport://host:notaport", &ep));
-  EXPECT_FALSE(ParseEndpoint("transport://host:99999", &ep));
-  EXPECT_FALSE(ParseEndpoint("shm://", &ep));
-  EXPECT_FALSE(ParseEndpoint("shm://bad/name", &ep));
-}
-
-TEST(Endpoint, DialUnknownShmNameIsConnectFailed) {
-  PolicyClientConfig config;
-  config.endpoint = "shm://s2rtest.definitely-absent";
-  config.max_retries = 1;
-  config.retry_backoff_initial_ms = 1;
-  config.retry_backoff_max_ms = 2;
-  PolicyClient client(config);
-  serve::ServeReply reply;
-  EXPECT_EQ(client.TryAct(1, ObsFor(1, 0), &reply),
-            TransportStatus::kConnectFailed);
-}
-
-std::string UniqueShmName(const char* tag) {
-  static std::atomic<int> counter{0};
-  return std::string("s2rtest.") + tag + "." + std::to_string(getpid()) +
-         "." + std::to_string(counter.fetch_add(1));
-}
-
-/// ByteChannel flavors of the raw frame helpers, for driving a shm
-/// lane directly.
-bool ReadFrameCh(ByteChannel& ch, FrameHeader* header, std::string* payload,
-                 int timeout_ms = 2000) {
-  uint8_t bytes[kFrameHeaderBytes];
-  if (ch.ReadFull(bytes, kFrameHeaderBytes, timeout_ms) != IoStatus::kOk) {
-    return false;
-  }
-  if (DecodeHeader(bytes, kDefaultMaxFrameBytes, header) !=
-      HeaderStatus::kOk) {
-    return false;
-  }
-  DecodeRequestId(bytes + kFramePrefixBytes, header);
-  payload->assign(header->payload_len, '\0');
-  if (header->payload_len > 0 &&
-      ch.ReadFull(payload->data(), payload->size(), timeout_ms) !=
-          IoStatus::kOk) {
-    return false;
-  }
-  return FrameCrcMatches(bytes, *payload);
-}
-
-TEST(ShmLaneTest, CarriesFramesBitwiseAndRecyclesAcrossClients) {
-  if (!ShmAvailable()) GTEST_SKIP() << "POSIX shm unavailable here";
-  const std::string name = UniqueShmName("ring");
-  ShmLaneConfig lane_config;
-  lane_config.ring_bytes = 1 << 16;
-  lane_config.max_frame_bytes = 1 << 14;  // rings must exceed one frame
-  auto lane = ShmLane::Create(name, lane_config);
-  ASSERT_NE(lane, nullptr);
-  EXPECT_TRUE(ShmLane::Exists(name));
-  EXPECT_FALSE(lane->claimed());
-  // A second Create on a live name must refuse, not clobber.
-  EXPECT_EQ(ShmLane::Create(name, lane_config), nullptr);
-
-  auto server_channel = lane->ServerChannel();
-  std::thread echo([&server_channel] {
-    FrameHeader header;
-    std::string payload;
-    while (ReadFrameCh(*server_channel, &header, &payload, 5000)) {
-      // Echo the payload back byte-for-byte under the echoed id.
-      const std::string frame = EncodeFrame(
-          MessageType::kActReply, payload, header.flags, header.request_id);
-      if (server_channel->WriteFull(frame.data(), frame.size(), 5000) !=
-          IoStatus::kOk) {
-        return;
-      }
-    }
-  });
-
-  // Dial scans the lane group; the bare name is itself a valid lane.
-  auto client_channel = Dial("shm://" + name, Limits{});
-  ASSERT_NE(client_channel, nullptr);
-  EXPECT_STREQ(client_channel->scheme(), "shm");
-  EXPECT_TRUE(lane->claimed());
-
-  // Awkward bit patterns must cross the rings untouched.
-  nn::Tensor obs(1, 5);
-  const double specials[] = {1.0 / 3.0, -0.0, 5e-324, 1e300, 0.1};
-  for (int c = 0; c < 5; ++c) obs(0, c) = specials[c];
-  const std::string request = EncodeActRequest(21, obs);
-  const std::string frame = EncodeFrame(MessageType::kActRequest, request,
-                                        /*flags=*/0, /*request_id=*/77);
-  ASSERT_EQ(client_channel->WriteFull(frame.data(), frame.size(), 2000),
-            IoStatus::kOk);
-  FrameHeader header;
-  std::string payload;
-  ASSERT_TRUE(ReadFrameCh(*client_channel, &header, &payload, 5000));
-  EXPECT_EQ(header.request_id, 77u);
-  EXPECT_EQ(payload, request);  // CRC checked inside ReadFrameCh
-  uint64_t user_id = 0, trace_id = 0;
-  nn::Tensor decoded;
-  ASSERT_TRUE(DecodeActRequest(payload, &user_id, &trace_id, &decoded));
-  EXPECT_TRUE(BitwiseEqual(obs, decoded));
-
-  // Client departs: the server side drains to kClosed, the lane
-  // reports the departure, and a reset reopens it for the next client.
-  client_channel.reset();
-  echo.join();
-  EXPECT_TRUE(lane->client_departed());
-  lane->ResetForNextClient();
-  EXPECT_FALSE(lane->claimed());
-  auto second = ShmLane::Attach(name);
-  ASSERT_NE(second, nullptr);
-  EXPECT_TRUE(lane->claimed());
-}
-
-TEST(ShmLaneTest, OwnShutdownStaysClosedAfterLaneRecycle) {
-  // A client's ShutdownBoth stamps the lane's client_gone; the server
-  // may see it and ResetForNextClient, which clears that stamp, before
-  // the client's receiver next looks. The receiver must still read its
-  // own hangup as kClosed at once, not park until the timeout.
-  if (!ShmAvailable()) GTEST_SKIP() << "POSIX shm unavailable here";
-  const std::string name = UniqueShmName("recycle");
-  ShmLaneConfig lane_config;
-  lane_config.ring_bytes = 1 << 16;
-  lane_config.max_frame_bytes = 1 << 14;
-  auto lane = ShmLane::Create(name, lane_config);
-  ASSERT_NE(lane, nullptr);
-  auto attached = ShmLane::Attach(name);
-  ASSERT_NE(attached, nullptr);
-  auto client_channel = attached->ClientChannel();
-
-  client_channel->ShutdownBoth();
-  EXPECT_TRUE(lane->client_departed());
-  lane->ResetForNextClient();
-
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_EQ(client_channel->WaitReadable(1000), IoStatus::kClosed);
-  EXPECT_LT(std::chrono::steady_clock::now() - start,
-            std::chrono::milliseconds(500));
-  char byte = 0;
-  EXPECT_EQ(client_channel->WriteFull(&byte, 1, 1000), IoStatus::kClosed);
-}
-
-TEST(ShmTransport, PolicyServerServesShmLaneEndToEnd) {
-  if (!ShmAvailable()) GTEST_SKIP() << "POSIX shm unavailable here";
-  FakeEchoService service;
-  PolicyServerConfig config;
-  config.shm_lanes = 2;
-  config.shm_name = UniqueShmName("srv");
-  PolicyServer server(&service, config);
-  ASSERT_TRUE(server.Start());
-  ASSERT_EQ(server.shm_lane_count(), 2);
-
-  PolicyClientConfig client_config;
-  client_config.endpoint = "shm://" + config.shm_name;
-  client_config.max_retries = 1;
-  client_config.retry_backoff_initial_ms = 1;
-  client_config.retry_backoff_max_ms = 2;
-  PolicyClient client(client_config);
-
-  uint8_t version = 0;
-  ASSERT_EQ(client.Ping(&version), TransportStatus::kOk);
-  EXPECT_EQ(version, kProtocolVersion);
-
-  // Bitwise echo over shared memory — the same guarantee the TCP lane
-  // pins, over the same frames.
-  const nn::Tensor obs = ObsFor(3, 1);
-  serve::ServeReply reply;
-  ASSERT_EQ(client.TryAct(3, obs, &reply), TransportStatus::kOk);
-  EXPECT_TRUE(BitwiseEqual(reply.action, obs));
-  EXPECT_TRUE(reply.exec_clamped);
-
-  // Pipelining multiplexes the shm lane exactly like the socket.
-  std::vector<PolicyClient::ActHandle> handles;
-  for (int u = 0; u < 8; ++u) {
-    handles.push_back(client.SubmitAct(u, ObsFor(u, 2)));
-  }
-  const std::vector<PolicyClient::ActResult> results =
-      client.AwaitAll(handles);
-  for (int u = 0; u < 8; ++u) {
-    ASSERT_EQ(results[u].status, TransportStatus::kOk) << "u=" << u;
-    EXPECT_TRUE(BitwiseEqual(results[u].reply.action, ObsFor(u, 2)));
-  }
-
-  // A second concurrent client lands on the second lane.
-  {
-    PolicyClient second(client_config);
-    serve::ServeReply second_reply;
-    ASSERT_EQ(second.TryAct(5, ObsFor(5, 0), &second_reply),
-              TransportStatus::kOk);
-    EXPECT_TRUE(BitwiseEqual(second_reply.action, ObsFor(5, 0)));
-  }
-
-  // After this client hangs up, the server recycles its lane for a
-  // successor (the pump needs a beat to notice the departure).
-  client.Close();
-  PolicyClient successor(client_config);
-  TransportStatus status = TransportStatus::kConnectFailed;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (std::chrono::steady_clock::now() < deadline) {
-    serve::ServeReply successor_reply;
-    status = successor.TryAct(9, ObsFor(9, 0), &successor_reply);
-    if (status == TransportStatus::kOk) {
-      EXPECT_TRUE(BitwiseEqual(successor_reply.action, ObsFor(9, 0)));
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(status, TransportStatus::kOk);
-
-  successor.Close();
-  server.Shutdown();
-  EXPECT_GE(server.stats().shm_sessions, 1);
 }
 
 /// Smallest bucket index holding the p99 mass of a snapshotted
